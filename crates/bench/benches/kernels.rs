@@ -3,7 +3,7 @@
 //! derivation, DSTD tree extraction, and face routing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use glr_core::{spanner_neighbors, SpannerMode};
+use glr_core::{SpannerMode, SpannerScratch};
 use glr_geometry::{
     dstd_next_hop, greedy_face_route, k_ldtg, ldtg_local_neighbors, unit_disk_graph, DstdKind,
     Point2, Triangulation,
@@ -44,8 +44,10 @@ fn bench_k_ldtg(c: &mut Criterion) {
 
 fn bench_local_spanner(c: &mut Criterion) {
     // The per-route-check hot path: a node's local spanner from its view.
+    // Paper-scale route checks see views of 3 entries on average, so the
+    // small sizes are the ones that matter.
     let mut g = c.benchmark_group("local_spanner");
-    for view_size in [8usize, 16, 32] {
+    for view_size in [2usize, 4, 8, 16, 32] {
         let pts = random_points(view_size + 1, 300.0, 300.0, 11);
         let view: Vec<NeighborEntry> = pts[1..]
             .iter()
@@ -61,16 +63,20 @@ fn bench_local_spanner(c: &mut Criterion) {
             ("local_delaunay", SpannerMode::LocalDelaunay),
             ("k_local", SpannerMode::KLocalDelaunay),
         ] {
+            // Buffers persist across iterations, as in a node's route check.
+            let mut scratch = SpannerScratch::default();
             g.bench_function(BenchmarkId::new(name, view_size), |b| {
                 b.iter(|| {
-                    spanner_neighbors(
-                        black_box(pts[0]),
-                        black_box(&view),
-                        &one_hop,
-                        150.0,
-                        2,
-                        mode,
-                    )
+                    scratch
+                        .neighbors(
+                            black_box(pts[0]),
+                            black_box(&view),
+                            &one_hop,
+                            150.0,
+                            2,
+                            mode,
+                        )
+                        .len()
                 })
             });
         }

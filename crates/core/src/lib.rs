@@ -60,5 +60,7 @@ pub use decision::CopyPolicy;
 pub use location::{LocationEstimate, LocationTable};
 pub use packet::{DataPacket, GlrPacket, ACK_BYTES, DATA_HEADER_BYTES};
 pub use protocol::Glr;
-pub use spanner::{face_next_hop, first_ccw_from_direction, spanner_neighbors, SpannerMode};
+pub use spanner::{
+    face_next_hop, first_ccw_from_direction, spanner_neighbors, SpannerMode, SpannerScratch,
+};
 pub use storage::{CacheEntry, FaceState, MessageStore, PushOutcome, StoredMessage};

@@ -3,10 +3,9 @@
 //! face-routing recovery and stale-location perturbation.
 
 use crate::config::{GlrConfig, LocationMode};
-use crate::decision::CopyPolicy;
 use crate::location::{LocationEstimate, LocationTable};
 use crate::packet::{DataPacket, GlrPacket};
-use crate::spanner::{face_next_hop, first_ccw_from_direction, spanner_neighbors};
+use crate::spanner::{face_next_hop, first_ccw_from_direction, SpannerScratch};
 use crate::storage::{FaceState, MessageStore, StoredMessage};
 use glr_geometry::{dstd_next_hop, DstdKind, Point2};
 use glr_sim::{Ctx, MessageInfo, NodeId, PacketKind, Protocol, SimConfig};
@@ -52,6 +51,8 @@ pub struct Glr {
     /// Whether the neighbourhood changed since the previous check (set at
     /// the start of every routing pass).
     topology_changed: bool,
+    /// Buffers the route check rebuilds the local spanner into.
+    spanner: SpannerScratch,
 }
 
 impl Glr {
@@ -73,6 +74,7 @@ impl Glr {
             seen: Default::default(),
             last_nbr_hash: 0,
             topology_changed: true,
+            spanner: SpannerScratch::default(),
         }
     }
 
@@ -200,7 +202,10 @@ impl Glr {
         }
         self.topology_changed = hash != self.last_nbr_hash;
         self.last_nbr_hash = hash;
-        let spanner = spanner_neighbors(
+        // Taken out of `self` for the pass so `route_one` can borrow the
+        // neighbours while mutating the node; put back at the end.
+        let mut scratch = std::mem::take(&mut self.spanner);
+        let spanner = scratch.neighbors(
             my_pos,
             &view,
             &one_hop,
@@ -224,7 +229,7 @@ impl Glr {
                 msg.dest_est = fresher;
             }
 
-            match self.route_one(ctx, my_pos, &spanner, &all_contacts, &mut msg) {
+            match self.route_one(ctx, my_pos, spanner, &all_contacts, &mut msg) {
                 Some(next) => {
                     let sent = self.transmit(ctx, next, &msg);
                     if sent {
@@ -272,6 +277,7 @@ impl Glr {
                 }
             }
         }
+        self.spanner = scratch;
     }
 
     /// Picks the next hop for one copy; `None` leaves it stored.
@@ -559,13 +565,6 @@ impl Protocol for Glr {
     fn storage_used(&self) -> usize {
         self.messages.total()
     }
-}
-
-/// Convenience: `CopyPolicy` re-export is used in the decision plumbing
-/// above; keeping the import alive even when the match arm is trivial.
-#[allow(dead_code)]
-fn _policy_witness(p: CopyPolicy) -> CopyPolicy {
-    p
 }
 
 #[cfg(test)]

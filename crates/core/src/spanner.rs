@@ -5,22 +5,32 @@
 //! spanner from whatever (stale) position information beaconing has
 //! gathered. Two constructions are offered:
 //!
-//! * [`SpannerMode::LocalDelaunay`] — the Delaunay triangulation of the
-//!   node's k-hop view, keeping edges incident to the node that are radio
-//!   links. One triangulation per check: the fast path used in the big
-//!   simulations.
+//! * [`SpannerMode::LocalDelaunay`] — the node's Delaunay neighbours in its
+//!   k-hop view, keeping those that are radio links. Only the node's own
+//!   edges are needed, so the check runs
+//!   [`glr_geometry::delaunay_star`]: a certified walk around the node's
+//!   Delaunay fan, `O(|view| · degree)`, with no triangulation of the rest
+//!   of the view. Whenever the walk cannot certify a predicate (ties,
+//!   duplicates, collinear or cocircular views) it falls back to the full
+//!   Bowyer–Watson triangulation, so the result always equals
+//!   `Triangulation::build(view).has_edge(self, i)`. This is the fast path
+//!   used in the big simulations.
 //! * [`SpannerMode::KLocalDelaunay`] — the paper's full k-LDTG acceptance
 //!   rule evaluated within the view (every view member's local Delaunay
 //!   triangulation is consulted as a witness). More faithful, ~|view|×
 //!   more expensive; used by the fidelity ablation.
+//!
+//! A node keeps one [`SpannerScratch`] and rebuilds into it at every check,
+//! so the fast path allocates nothing once the buffers have grown.
 
-use glr_geometry::{ldtg_local_neighbors, Point2, Triangulation};
+use glr_geometry::{delaunay_star, ldtg_local_neighbors, Point2};
 use glr_sim::{NeighborEntry, NodeId};
 
 /// Which local spanner construction a GLR node runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpannerMode {
-    /// One local Delaunay triangulation per check (default).
+    /// The node's own Delaunay edges in its view, via the certified star
+    /// walk (default).
     #[default]
     LocalDelaunay,
     /// The paper's witness-checked k-LDTG rule within the view.
@@ -34,6 +44,9 @@ pub enum SpannerMode {
 /// neighbours; only one-hop nodes can be next hops, but two-hop entries
 /// shape the triangulation. Results are sorted by angle around `my_pos`
 /// (the rotation order face routing needs).
+///
+/// Allocates fresh buffers; a caller that checks repeatedly keeps a
+/// [`SpannerScratch`] and calls [`SpannerScratch::neighbors`] instead.
 ///
 /// # Examples
 ///
@@ -63,37 +76,66 @@ pub fn spanner_neighbors(
     k: usize,
     mode: SpannerMode,
 ) -> Vec<(NodeId, Point2)> {
-    if view.is_empty() {
-        return Vec::new();
-    }
-    // Index 0 is self; the rest mirror `view`.
-    let mut points = Vec::with_capacity(view.len() + 1);
-    points.push(my_pos);
-    points.extend(view.iter().map(|e| e.pos));
+    let mut scratch = SpannerScratch::default();
+    scratch.neighbors(my_pos, view, one_hop, radio_range, k, mode);
+    scratch.out
+}
 
-    let incident: Vec<usize> = match mode {
-        SpannerMode::LocalDelaunay => {
-            let tri = Triangulation::build(&points);
-            (1..points.len())
-                .filter(|&i| tri.has_edge(0, i) && points[i].dist(my_pos) <= radio_range)
-                .collect()
+/// Reusable buffers for [`spanner_neighbors`]: the view's points, the
+/// Delaunay star and the result.
+#[derive(Debug, Default, Clone)]
+pub struct SpannerScratch {
+    points: Vec<Point2>,
+    star: Vec<usize>,
+    out: Vec<(NodeId, Point2)>,
+}
+
+impl SpannerScratch {
+    /// [`spanner_neighbors`] into this scratch's buffers; the returned
+    /// slice lives until the next call.
+    pub fn neighbors(
+        &mut self,
+        my_pos: Point2,
+        view: &[NeighborEntry],
+        one_hop: &[NodeId],
+        radio_range: f64,
+        k: usize,
+        mode: SpannerMode,
+    ) -> &[(NodeId, Point2)] {
+        self.out.clear();
+        if view.is_empty() {
+            return &self.out;
         }
-        SpannerMode::KLocalDelaunay => ldtg_local_neighbors(&points, 0, radio_range, k),
-    };
+        // Index 0 is self; the rest mirror `view`.
+        self.points.clear();
+        self.points.push(my_pos);
+        self.points.extend(view.iter().map(|e| e.pos));
 
-    let mut out: Vec<(NodeId, Point2)> = incident
-        .into_iter()
-        .map(|i| (view[i - 1].id, view[i - 1].pos))
-        .filter(|(id, _)| one_hop.contains(id))
-        .collect();
-    out.sort_by(|a, b| {
-        my_pos
-            .angle_to(a.1)
-            .partial_cmp(&my_pos.angle_to(b.1))
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-    });
-    out
+        match mode {
+            SpannerMode::LocalDelaunay => {
+                delaunay_star(&self.points, &mut self.star);
+                let points = &self.points;
+                self.star.retain(|&i| points[i].dist(my_pos) <= radio_range);
+            }
+            SpannerMode::KLocalDelaunay => {
+                self.star = ldtg_local_neighbors(&self.points, 0, radio_range, k);
+            }
+        }
+        self.out.extend(
+            self.star
+                .iter()
+                .map(|&i| (view[i - 1].id, view[i - 1].pos))
+                .filter(|(id, _)| one_hop.contains(id)),
+        );
+        self.out.sort_by(|a, b| {
+            my_pos
+                .angle_to(a.1)
+                .partial_cmp(&my_pos.angle_to(b.1))
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.0.cmp(&b.0))
+        });
+        &self.out
+    }
 }
 
 /// The neighbour following `prev` counter-clockwise around this node — the
@@ -262,6 +304,38 @@ mod tests {
             .collect();
         for w in angles.windows(2) {
             assert!(w[0] <= w[1], "not angle-sorted: {angles:?}");
+        }
+    }
+
+    #[test]
+    fn reused_scratch_matches_fresh_calls() {
+        // A large view, then smaller and empty ones: nothing may leak from
+        // one call's buffers into the next.
+        let big: Vec<NeighborEntry> = (1..=12)
+            .map(|i| {
+                let a = i as f64 * 0.55;
+                entry(
+                    i,
+                    70.0 * a.cos() + i as f64,
+                    70.0 * a.sin() - 2.0 * i as f64,
+                )
+            })
+            .collect();
+        let views = [
+            big.clone(),
+            big[..3].to_vec(),
+            Vec::new(),
+            big[5..].to_vec(),
+            big,
+        ];
+        let one_hop: Vec<NodeId> = (1..=12).step_by(2).map(NodeId).collect();
+        let mut scratch = SpannerScratch::default();
+        for mode in [SpannerMode::LocalDelaunay, SpannerMode::KLocalDelaunay] {
+            for view in &views {
+                let fresh = spanner_neighbors(Point2::ORIGIN, view, &one_hop, 100.0, 2, mode);
+                let reused = scratch.neighbors(Point2::ORIGIN, view, &one_hop, 100.0, 2, mode);
+                assert_eq!(reused, fresh.as_slice(), "{mode:?}, view of {}", view.len());
+            }
         }
     }
 

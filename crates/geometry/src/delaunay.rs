@@ -1,4 +1,5 @@
-//! Delaunay triangulation via Bowyer–Watson incremental insertion.
+//! Delaunay triangulation via Bowyer–Watson incremental insertion, and the
+//! Delaunay star of a single point.
 //!
 //! The GLR spanner is built from *local* Delaunay triangulations of k-hop
 //! neighbourhoods (at most a few dozen points each), so an `O(n^2)`
@@ -9,9 +10,40 @@
 //! Degenerate inputs get the standard limit behaviour: fewer than two
 //! points yield no edges, two points yield one edge, and fully collinear
 //! sets yield the path connecting consecutive points.
+//!
+//! # The star walk
+//!
+//! A route check needs only the edges at point 0, so [`delaunay_star`]
+//! computes exactly `{i : Triangulation::build(points).has_edge(0, i)}`
+//! without triangulating the rest:
+//!
+//! 1. Start from point 0's nearest point, which is a Delaunay neighbour.
+//! 2. Walk the fan of triangles around point 0: from the edge `(0, a)` the
+//!    next neighbour is the point left of `0 -> a` whose circle through
+//!    `0` and `a` no other left point enters (an `incircle` tournament).
+//!    Walk counter-clockwise until the fan closes; if it hits the hull
+//!    instead, walk clockwise from the start until the other hull edge.
+//! 3. Certify each fan triangle: every view point lies strictly outside
+//!    its circumcircle.
+//! 4. Keep a fan triangle's two neighbours only if its circumcircle also
+//!    excludes all three super vertices Bowyer–Watson inserts first. That
+//!    is Bowyer–Watson's "drop super-vertex triangles" rule, which can
+//!    remove a hull edge whose triangle is a near-collinear sliver.
+//!
+//! Every sign the walk uses comes from the filter-only predicates, so it is
+//! exact. The walk is `O(n · degree)` with no allocation beyond the output.
+//!
+//! **Fallback contract.** [`certified_delaunay_star`] refuses (returns
+//! `false`) on any uncertain or zero predicate, an exact tie for the
+//! nearest point, a duplicate of point 0, a non-finite coordinate, or a
+//! walk that does not terminate within `n` steps. Duplicates of other
+//! points and all-collinear views show up as zero predicates. On refusal
+//! [`delaunay_star`] answers from [`Triangulation::build`], so its result
+//! always equals the full triangulation's. Views of fewer than three points
+//! are answered directly.
 
 use crate::point::Point2;
-use crate::predicates::{incircle, orient2d, Sign};
+use crate::predicates::{incircle, incircle_filtered, orient2d, orient2d_filtered, Sign};
 use std::collections::HashSet;
 
 /// A Delaunay triangulation of a point set.
@@ -91,16 +123,8 @@ impl Triangulation {
         let n = points.len();
         // Working point list: real points then three super-triangle vertices.
         let (min, max) = crate::grid::bounding_box(points);
-        let span = (max.x - min.x).max(max.y - min.y).max(1.0);
-        let cx = (min.x + max.x) * 0.5;
-        let cy = (min.y + max.y) * 0.5;
-        // Far enough that no circumcircle of a non-degenerate real triangle
-        // reaches the super vertices at simulation scales.
-        let big = span * 1.0e6;
         let mut pts: Vec<Point2> = points.to_vec();
-        pts.push(Point2::new(cx - 2.0 * big, cy - big));
-        pts.push(Point2::new(cx + 2.0 * big, cy - big));
-        pts.push(Point2::new(cx, cy + 2.0 * big));
+        pts.extend(super_vertices(min, max));
         let s0 = n;
         let s1 = n + 1;
         let s2 = n + 2;
@@ -214,6 +238,223 @@ impl Triangulation {
         }
         g
     }
+}
+
+/// The super-triangle vertices Bowyer–Watson wraps a point set with
+/// bounding box `min..max` in. The star walk tests against the same three
+/// points, bit for bit.
+fn super_vertices(min: Point2, max: Point2) -> [Point2; 3] {
+    let span = (max.x - min.x).max(max.y - min.y).max(1.0);
+    let cx = (min.x + max.x) * 0.5;
+    let cy = (min.y + max.y) * 0.5;
+    // Far enough that no circumcircle of a non-degenerate real triangle
+    // reaches the super vertices at simulation scales.
+    let big = span * 1.0e6;
+    [
+        Point2::new(cx - 2.0 * big, cy - big),
+        Point2::new(cx + 2.0 * big, cy - big),
+        Point2::new(cx, cy + 2.0 * big),
+    ]
+}
+
+/// Point 0's Delaunay neighbours: writes into `out` (cleared first, sorted
+/// ascending) every `i` with `Triangulation::build(points).has_edge(0, i)`.
+///
+/// Runs the certified star walk (see the module docs) and falls back to
+/// the full triangulation when the walk cannot certify its answer. `out`
+/// is reused across calls, so a caller that keeps it allocates nothing on
+/// the fast path.
+///
+/// # Panics
+///
+/// Panics if any coordinate is non-finite, as [`Triangulation::build`]
+/// does.
+///
+/// # Examples
+///
+/// ```
+/// use glr_geometry::{delaunay_star, Point2};
+///
+/// let pts = vec![
+///     Point2::new(0.0, 0.0),   // point 0
+///     Point2::new(10.0, 0.0),
+///     Point2::new(0.0, 10.0),
+///     Point2::new(25.0, 1.0),  // hidden behind point 1
+/// ];
+/// let mut nbrs = Vec::new();
+/// delaunay_star(&pts, &mut nbrs);
+/// assert_eq!(nbrs, vec![1, 2]);
+/// ```
+pub fn delaunay_star(points: &[Point2], out: &mut Vec<usize>) {
+    if certified_delaunay_star(points, out) {
+        return;
+    }
+    let tri = Triangulation::build(points);
+    out.clear();
+    out.extend((1..points.len()).filter(|&i| tri.has_edge(0, i)));
+}
+
+/// The fast path of [`delaunay_star`] alone: returns `true` and fills
+/// `out` (sorted ascending) when every predicate of the star walk was
+/// certified, and `false` (with `out` unspecified) when the caller must
+/// fall back to [`Triangulation::build`].
+///
+/// When it returns `true`, `out` equals the neighbours of point 0 in
+/// `Triangulation::build(points)`.
+///
+/// ```
+/// use glr_geometry::{certified_delaunay_star, Point2};
+///
+/// let mut nbrs = Vec::new();
+/// // A general-position view is certified...
+/// let pts = [Point2::new(0.0, 0.0), Point2::new(3.0, 1.0), Point2::new(-1.0, 2.0)];
+/// assert!(certified_delaunay_star(&pts, &mut nbrs));
+/// assert_eq!(nbrs, vec![1, 2]);
+/// // ...an all-collinear one is not.
+/// let line = [Point2::new(0.0, 0.0), Point2::new(1.0, 1.0), Point2::new(2.0, 2.0)];
+/// assert!(!certified_delaunay_star(&line, &mut nbrs));
+/// ```
+pub fn certified_delaunay_star(points: &[Point2], out: &mut Vec<usize>) -> bool {
+    out.clear();
+    star_walk(points, out).is_ok()
+}
+
+/// A predicate the filter could not certify, or a degenerate input.
+struct Uncertain;
+
+/// Certified sign, or [`Uncertain`].
+#[inline]
+fn certain(sign: Option<Sign>) -> Result<Sign, Uncertain> {
+    sign.ok_or(Uncertain)
+}
+
+fn star_walk(points: &[Point2], out: &mut Vec<usize>) -> Result<(), Uncertain> {
+    let n = points.len();
+    if points.iter().any(|p| !p.is_finite()) {
+        return Err(Uncertain);
+    }
+    if n < 3 {
+        if n == 2 && points[0] != points[1] {
+            out.push(1);
+        }
+        return Ok(());
+    }
+    // The walk starts from the nearest point.
+    let p0 = points[0];
+    let (mut first, mut nearest, mut tie) = (0, f64::INFINITY, false);
+    for (i, &p) in points.iter().enumerate().skip(1) {
+        let d = p0.dist_sq(p);
+        if d < nearest {
+            (first, nearest, tie) = (i, d, false);
+        } else if d == nearest {
+            tie = true;
+        }
+    }
+    if tie || nearest == 0.0 {
+        return Err(Uncertain);
+    }
+    let (min, max) = crate::grid::bounding_box(points);
+    let supers = super_vertices(min, max);
+
+    // Counter-clockwise until the fan closes; if it meets the hull
+    // instead, point 0 is a hull vertex and the clockwise walk from the
+    // start covers the rest of its fan.
+    let mut budget = n;
+    if !walk_fan(points, &supers, first, Sign::Positive, &mut budget, out)? {
+        walk_fan(points, &supers, first, Sign::Negative, &mut budget, out)?;
+    }
+    out.sort_unstable();
+    out.dedup();
+    Ok(())
+}
+
+/// Walks point 0's fan from `first` towards `side` (`Positive` =
+/// counter-clockwise), keeping each fan triangle's neighbours. Returns
+/// whether the walk came back to `first` (point 0 is interior). `budget`
+/// caps the total steps, so an inconsistent view cannot loop forever.
+fn walk_fan(
+    points: &[Point2],
+    supers: &[Point2; 3],
+    first: usize,
+    side: Sign,
+    budget: &mut usize,
+    out: &mut Vec<usize>,
+) -> Result<bool, Uncertain> {
+    let mut cur = first;
+    while let Some(next) = fan_step(points, cur, side)? {
+        *budget = budget.checked_sub(1).ok_or(Uncertain)?;
+        if side == Sign::Positive {
+            keep_fan_triangle(points, supers, cur, next, out)?;
+        } else {
+            keep_fan_triangle(points, supers, next, cur, out)?;
+        }
+        if next == first {
+            return Ok(true);
+        }
+        cur = next;
+    }
+    Ok(false)
+}
+
+/// The next fan neighbour after `cur` on `side` of the ray `0 -> cur`
+/// (`Positive` = counter-clockwise), or `None` when no point lies there.
+/// Among the points on that side it picks the one whose circle through
+/// `0` and `cur` no other point on that side enters.
+fn fan_step(points: &[Point2], cur: usize, side: Sign) -> Result<Option<usize>, Uncertain> {
+    let (p0, a) = (points[0], points[cur]);
+    let mut best: Option<usize> = None;
+    for (i, &p) in points.iter().enumerate().skip(1) {
+        if i == cur || certain(orient2d_filtered(p0, a, p))? != side {
+            continue;
+        }
+        best = Some(match best {
+            None => i,
+            Some(b) => {
+                // Orient the triangle through 0, cur and the incumbent
+                // counter-clockwise; `p` inside its circle displaces it.
+                let inside = if side == Sign::Positive {
+                    incircle_filtered(p0, a, points[b], p)
+                } else {
+                    incircle_filtered(p0, points[b], a, p)
+                };
+                if certain(inside)? == Sign::Positive {
+                    i
+                } else {
+                    b
+                }
+            }
+        });
+    }
+    Ok(best)
+}
+
+/// Certifies the counter-clockwise fan triangle `(0, a, b)` as Delaunay
+/// and, when Bowyer–Watson keeps it (no super vertex inside its
+/// circumcircle), records `a` and `b` as neighbours of point 0.
+fn keep_fan_triangle(
+    points: &[Point2],
+    supers: &[Point2; 3],
+    a: usize,
+    b: usize,
+    out: &mut Vec<usize>,
+) -> Result<(), Uncertain> {
+    let (p0, pa, pb) = (points[0], points[a], points[b]);
+    for (i, &p) in points.iter().enumerate().skip(1) {
+        if i != a && i != b && certain(incircle_filtered(p0, pa, pb, p))? != Sign::Negative {
+            return Err(Uncertain);
+        }
+    }
+    for &s in supers {
+        // `s` inside the circle of (0, a, b) is `incircle(0, a, b, s) > 0`,
+        // i.e. `incircle(s, a, b, 0) < 0`. Differences taken relative to
+        // point 0 keep the filter tight next to the far super vertex.
+        if certain(incircle_filtered(s, pa, pb, p0))? == Sign::Negative {
+            return Ok(());
+        }
+    }
+    out.push(a);
+    out.push(b);
+    Ok(())
 }
 
 /// Circumcircle membership for Bowyer–Watson, robust to the triangle's

@@ -5,7 +5,8 @@
 //! ICDCS 2009):
 //!
 //! * robust [`orient2d`]/[`incircle`] predicates (filtered double-double),
-//! * Bowyer–Watson Delaunay [`Triangulation`],
+//! * Bowyer–Watson Delaunay [`Triangulation`], and [`delaunay_star`] for
+//!   the Delaunay neighbours of a single point without the rest,
 //! * [`unit_disk_graph`] connectivity and the Georgiou et al.
 //!   [`connectivity_radius_bound`] behind GLR's copy-count decision,
 //! * the **k-local Delaunay triangulation graph** ([`k_ldtg`] and its
@@ -57,7 +58,7 @@ mod spanner;
 mod trees;
 mod udg;
 
-pub use delaunay::Triangulation;
+pub use delaunay::{certified_delaunay_star, delaunay_star, Triangulation};
 pub use faces::{
     face_route, greedy_face_route, is_local_minimum, is_plane_drawing, left_of, FaceWalk,
     PlanarEmbedding,
@@ -69,7 +70,8 @@ pub use hull::convex_hull;
 pub use ldt::{k_ldtg, ldtg_local_neighbors};
 pub use point::Point2;
 pub use predicates::{
-    circumcenter, in_diametral_disk, incircle, orient2d, orient2d_raw, segments_cross, Sign,
+    circumcenter, in_diametral_disk, incircle, incircle_filtered, orient2d, orient2d_filtered,
+    orient2d_raw, segments_cross, Sign,
 };
 pub use spanner::{euclidean_stretch, relative_stretch, StretchReport};
 pub use trees::{dstd_fanout, dstd_next_hop, extract_dstd_path, DstdKind};

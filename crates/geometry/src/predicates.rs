@@ -17,6 +17,12 @@
 //! a simulation region (|x| < 1e8 with metre-scale separations), and a
 //! deterministic tie-break keeps the triangulation consistent even in exact
 //! ties.
+//!
+//! Because that second stage is not certified, [`orient2d_filtered`] and
+//! [`incircle_filtered`] expose stage 1 alone: they answer only when the
+//! error bound proves a non-zero sign, and return `None` otherwise. The
+//! Delaunay star walk builds on them and hands every `None` to the full
+//! triangulation.
 
 use crate::point::Point2;
 
@@ -166,30 +172,57 @@ const ORIENT_ERRBOUND: f64 = (3.0 + 16.0 * f64::EPSILON) * f64::EPSILON;
 /// assert_eq!(orient2d(a, b, Point2::new(2.0, 0.0)), Sign::Zero);
 /// ```
 pub fn orient2d(a: Point2, b: Point2, c: Point2) -> Sign {
+    orient2d_filter(a, b, c).unwrap_or_else(|| orient2d_dd(a, b, c))
+}
+
+/// Filter-only orientation: the sign of `orient2d(a, b, c)` when the
+/// floating-point error filter alone certifies it as non-zero, `None`
+/// otherwise (near-degenerate or exactly collinear).
+///
+/// A `Some` answer is the exact sign. The double-double stage behind
+/// [`orient2d`] is close to exact but not certified, so callers that must
+/// never act on a wrong sign use this and treat `None` as "don't know".
+///
+/// ```
+/// use glr_geometry::{orient2d_filtered, Point2, Sign};
+///
+/// let a = Point2::new(0.0, 0.0);
+/// let b = Point2::new(1.0, 0.0);
+/// assert_eq!(orient2d_filtered(a, b, Point2::new(0.0, 1.0)), Some(Sign::Positive));
+/// assert_eq!(orient2d_filtered(a, b, Point2::new(2.0, 0.0)), None);
+/// ```
+#[inline]
+pub fn orient2d_filtered(a: Point2, b: Point2, c: Point2) -> Option<Sign> {
+    orient2d_filter(a, b, c).filter(|s| !s.is_zero())
+}
+
+/// The floating-point stage of [`orient2d`]: `Some` when the filter
+/// decides the sign (possibly an exact zero), `None` when it cannot.
+#[inline]
+fn orient2d_filter(a: Point2, b: Point2, c: Point2) -> Option<Sign> {
     let detleft = (a.x - c.x) * (b.y - c.y);
     let detright = (a.y - c.y) * (b.x - c.x);
     let det = detleft - detright;
 
     let detsum = if detleft > 0.0 {
         if detright <= 0.0 {
-            return Sign::of(det);
+            return Some(Sign::of(det));
         }
         detleft + detright
     } else if detleft < 0.0 {
         if detright >= 0.0 {
-            return Sign::of(det);
+            return Some(Sign::of(det));
         }
         -(detleft + detright)
     } else {
-        return Sign::of(det);
+        return Some(Sign::of(det));
     };
 
     let errbound = ORIENT_ERRBOUND * detsum;
     if det >= errbound || -det >= errbound {
-        return Sign::of(det);
+        return Some(Sign::of(det));
     }
-
-    orient2d_dd(a, b, c)
+    None
 }
 
 /// Double-double evaluation of the orientation determinant.
@@ -239,6 +272,28 @@ const INCIRCLE_ERRBOUND: f64 = (10.0 + 96.0 * f64::EPSILON) * f64::EPSILON;
 /// assert_eq!(incircle(a, b, c, Point2::new(2.0, 2.0)), Sign::Zero);
 /// ```
 pub fn incircle(a: Point2, b: Point2, c: Point2, d: Point2) -> Sign {
+    incircle_filtered(a, b, c, d).unwrap_or_else(|| incircle_dd(a, b, c, d))
+}
+
+/// Filter-only in-circle test: the sign of `incircle(a, b, c, d)` when the
+/// floating-point error filter alone certifies it as non-zero, `None`
+/// otherwise (near-cocircular or exactly cocircular).
+///
+/// As with [`orient2d_filtered`], a `Some` answer is the exact sign. The
+/// filter is tightest when `d` is the point closest to the other three:
+/// every coordinate difference is taken relative to `d`.
+///
+/// ```
+/// use glr_geometry::{incircle_filtered, Point2, Sign};
+///
+/// let a = Point2::new(0.0, 0.0);
+/// let b = Point2::new(2.0, 0.0);
+/// let c = Point2::new(0.0, 2.0);
+/// assert_eq!(incircle_filtered(a, b, c, Point2::new(0.5, 0.5)), Some(Sign::Positive));
+/// assert_eq!(incircle_filtered(a, b, c, Point2::new(2.0, 2.0)), None);
+/// ```
+#[inline]
+pub fn incircle_filtered(a: Point2, b: Point2, c: Point2, d: Point2) -> Option<Sign> {
     let adx = a.x - d.x;
     let ady = a.y - d.y;
     let bdx = b.x - d.x;
@@ -265,10 +320,9 @@ pub fn incircle(a: Point2, b: Point2, c: Point2, d: Point2) -> Sign {
         + (adxbdy.abs() + bdxady.abs()) * clift;
     let errbound = INCIRCLE_ERRBOUND * permanent;
     if det > errbound || -det > errbound {
-        return Sign::of(det);
+        return Some(Sign::of(det));
     }
-
-    incircle_dd(a, b, c, d)
+    None
 }
 
 /// Double-double evaluation of the in-circle determinant.

@@ -189,7 +189,7 @@ pub use neighbors::{
     BeaconSnapshot, NeighborEntry, NeighborTables, NeighborsIter, NeighborsView, TableBackend,
     TableFootprint,
 };
-pub use pool::{BudgetLease, ThreadBudget, WorkerPool};
+pub use pool::{BudgetLease, LiveWorkers, ThreadBudget, WorkerPool};
 pub use queue::TimedQueue;
 pub use report::{CellReport, ReportSet, RunMetrics};
 pub use runner::MultiRun;

@@ -251,6 +251,8 @@ struct PoolCore {
     shared: Arc<Shared>,
     /// Worker threads this pool may spawn (`threads - 1`).
     workers: usize,
+    /// This pool's spawned workers that have not exited yet.
+    live: LiveWorkers,
     /// Join handles of spawned workers (empty until first dispatch).
     handles: Mutex<Vec<JoinHandle<()>>>,
     /// Budget lease backing `workers`, if pool came from a budget;
@@ -298,6 +300,7 @@ impl WorkerPool {
                     done: Condvar::new(),
                 }),
                 workers: threads - 1,
+                live: LiveWorkers::default(),
                 handles: Mutex::new(Vec::new()),
                 _lease: None,
             }),
@@ -318,6 +321,7 @@ impl WorkerPool {
                     done: Condvar::new(),
                 }),
                 workers: lease.granted(),
+                live: LiveWorkers::default(),
                 handles: Mutex::new(Vec::new()),
                 _lease: Some(lease),
             }),
@@ -334,6 +338,15 @@ impl WorkerPool {
     /// single-thread pool).
     pub fn is_started(&self) -> bool {
         !self.core.handles.lock().expect("pool mutex").is_empty()
+    }
+
+    /// A handle on this pool's count of live worker threads: raised as
+    /// each worker spawns, lowered as it exits. The handle outlives the
+    /// pool, and dropping the pool joins every worker, so the count reads
+    /// zero right after the drop. Unlike the process's thread count, it
+    /// ignores threads that other pools (or other tests) spawn.
+    pub fn live_workers(&self) -> LiveWorkers {
+        self.core.live.clone()
     }
 
     /// Runs every task to completion, distributing them across the
@@ -402,6 +415,18 @@ impl WorkerPool {
     }
 }
 
+/// Live worker threads of one [`WorkerPool`]; see
+/// [`WorkerPool::live_workers`].
+#[derive(Debug, Clone, Default)]
+pub struct LiveWorkers(Arc<AtomicUsize>);
+
+impl LiveWorkers {
+    /// Workers spawned and not yet exited.
+    pub fn count(&self) -> usize {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
@@ -420,9 +445,17 @@ impl PoolCore {
         }
         for i in 0..self.workers {
             let shared = self.shared.clone();
+            // Relaxed: the count publishes no other data, and `join` in
+            // `Drop` orders each worker's final decrement before the drop
+            // returns.
+            let live = self.live.clone();
+            live.0.fetch_add(1, Ordering::Relaxed);
             let handle = std::thread::Builder::new()
                 .name(format!("glr-pool-{i}"))
-                .spawn(move || Shared::worker_loop(&shared))
+                .spawn(move || {
+                    Shared::worker_loop(&shared);
+                    live.0.fetch_sub(1, Ordering::Relaxed);
+                })
                 .expect("spawn pool worker");
             handles.push(handle);
         }

@@ -480,6 +480,12 @@ impl<P: Protocol> Simulation<P> {
         self.core.world.stats
     }
 
+    /// The engine's fan-out pool (inert for serial engines and budgets of
+    /// one) — read it at end of run via [`Simulation::run_inspect`].
+    pub fn engine_pool(&self) -> &WorkerPool {
+        &self.core.pool
+    }
+
     /// Heap-memory telemetry of the neighbour tables (per-node protocol
     /// state) — read it at end of run via [`Simulation::run_inspect`].
     pub fn neighbor_footprint(&self) -> TableFootprint {

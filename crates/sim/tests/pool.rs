@@ -7,8 +7,8 @@
 
 use glr_sim::pool::Task;
 use glr_sim::{
-    Ctx, EngineKind, MessageInfo, NodeId, Protocol, SimConfig, Simulation, ThreadBudget,
-    WorkerPool, Workload,
+    Ctx, EngineKind, LiveWorkers, MessageInfo, NodeId, Protocol, RunStats, SimConfig, Simulation,
+    ThreadBudget, WorkerPool, Workload,
 };
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -18,34 +18,6 @@ impl Protocol for Idle {
     type Packet = ();
     fn on_message_created(&mut self, _: &mut Ctx<'_, ()>, _: MessageInfo) {}
     fn on_packet(&mut self, _: &mut Ctx<'_, ()>, _: NodeId, _: ()) {}
-}
-
-/// Live thread count of this process (Linux; the CI and dev hosts).
-/// Returns `None` where /proc is unavailable so the tests degrade to
-/// join-based checks instead of failing spuriously.
-fn thread_count() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-}
-
-/// Polls until the process thread count drops back to `baseline`
-/// (joins are synchronous, but the *count* in /proc can lag a moment on
-/// loaded hosts).
-fn assert_threads_back_to(baseline: usize, context: &str) {
-    for _ in 0..100 {
-        match thread_count() {
-            None => return, // no /proc — joins already asserted by Drop
-            Some(n) if n <= baseline => return,
-            Some(_) => std::thread::sleep(std::time::Duration::from_millis(10)),
-        }
-    }
-    panic!(
-        "{context}: thread count never returned to {baseline} (now {:?})",
-        thread_count()
-    );
 }
 
 fn dispatch_counts(pool: &WorkerPool, tasks: usize) -> usize {
@@ -62,22 +34,36 @@ fn dispatch_counts(pool: &WorkerPool, tasks: usize) -> usize {
     counter.load(Ordering::Relaxed)
 }
 
+// Thread checks read each pool's own live-worker count, never the
+// process's thread count: sibling tests run in parallel and spawn pools
+// of their own.
+
 #[test]
 fn pool_drop_joins_all_workers() {
-    let baseline = thread_count().unwrap_or(0);
     let pool = WorkerPool::with_threads(4);
+    let live = pool.live_workers();
+    assert_eq!(live.count(), 0, "workers spawn lazily");
     assert_eq!(dispatch_counts(&pool, 32), 32);
     assert!(pool.is_started());
-    if let (Some(now), Some(_)) = (thread_count(), Some(baseline)) {
-        assert!(now >= baseline + 3, "3 workers must be live, saw {now}");
-    }
+    assert_eq!(live.count(), 3, "3 workers must be live");
     drop(pool);
-    assert_threads_back_to(baseline, "after pool drop");
+    assert_eq!(live.count(), 0, "dropping the pool joins every worker");
+}
+
+/// Runs one simulation and returns its statistics, the engine pool's live
+/// workers at the end of the run, and the pool's counter after teardown.
+fn run_counting_workers(cfg: SimConfig, wl: Workload) -> (RunStats, usize, LiveWorkers) {
+    let mut seen = None;
+    let stats = Simulation::new(cfg, wl, |_, _| Idle).run_inspect(|sim| {
+        let live = sim.engine_pool().live_workers();
+        seen = Some((live.count(), live));
+    });
+    let (at_end, live) = seen.expect("inspect runs");
+    (stats, at_end, live)
 }
 
 #[test]
 fn simulations_leak_no_threads() {
-    let baseline = thread_count().unwrap_or(0);
     // Forced-fanout parallel runs: every beacon dispatches to the pool.
     for seed in 0..3 {
         let cfg = SimConfig::paper(250.0, seed)
@@ -86,9 +72,10 @@ fn simulations_leak_no_threads() {
             .with_engine(EngineKind::Parallel(4))
             .with_parallel_grain(1);
         let wl = Workload::paper_style(cfg.n_nodes, 5, 1000);
-        let stats = Simulation::new(cfg, wl, |_, _| Idle).run();
+        let (stats, at_end, live) = run_counting_workers(cfg, wl);
         assert!(stats.control_tx > 0);
-        assert_threads_back_to(baseline, "after simulation run");
+        assert_eq!(at_end, 3, "the fan-out must have started the pool");
+        assert_eq!(live.count(), 0, "workers outlived the simulation");
     }
 }
 
@@ -125,7 +112,6 @@ fn panicking_task_errors_instead_of_deadlocking() {
 
 #[test]
 fn budget_of_one_runs_serial_and_spawns_nothing() {
-    let baseline = thread_count().unwrap_or(0);
     let budget = ThreadBudget::total(1);
     let cfg = SimConfig::paper(250.0, 9)
         .with_nodes(30)
@@ -138,13 +124,8 @@ fn budget_of_one_runs_serial_and_spawns_nothing() {
         .clone()
         .with_engine(EngineKind::Serial)
         .with_thread_budget(ThreadBudget::unlimited());
-    let parallel = Simulation::new(cfg, wl.clone(), |_, _| Idle).run();
+    let (parallel, at_end, _) = run_counting_workers(cfg, wl.clone());
     let serial = Simulation::new(serial_cfg, wl, |_, _| Idle).run();
     assert_eq!(serial, parallel);
-    if let Some(now) = thread_count() {
-        assert!(
-            now <= baseline,
-            "budget of 1 must never spawn workers (baseline {baseline}, now {now})"
-        );
-    }
+    assert_eq!(at_end, 0, "budget of 1 must never spawn workers");
 }
