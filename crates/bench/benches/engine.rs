@@ -1,8 +1,8 @@
 //! Whole-engine benchmarks for the single-run scaling work: the dense
 //! 10k-node beacon workload (the regime PR 4's flat arena, batched
 //! delivery and single-probe tables target), the 100k-node paper-density
-//! tier, serial vs parallel engine rows, and the deployment memory
-//! footprint (arena vs `Vec<Trajectory>`).
+//! tier, and the deployment memory footprint (arena vs
+//! `Vec<Trajectory>`).
 //!
 //! The dense group grows node density with `√n` (region scaled by
 //! `(n/50)^0.25`), the regime where every beacon fans out to ~50
@@ -17,7 +17,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use glr_mobility::{DeploymentArena, MobilityModel, RandomWaypoint, Region};
-use glr_sim::{Ctx, EngineKind, MessageInfo, NodeId, Protocol, SimConfig, Simulation, Workload};
+use glr_sim::{Ctx, MessageInfo, NodeId, Protocol, SimConfig, Simulation, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -31,31 +31,25 @@ impl Protocol for Idle {
 
 /// Region scaled by `(n/50)^exponent`: 0.5 holds paper density, 0.25
 /// grows density (and radio degree) with `√n`.
-fn config(n: usize, exponent: f64, duration: f64, engine: EngineKind) -> SimConfig {
+fn config(n: usize, exponent: f64, duration: f64) -> SimConfig {
     let scale = (n as f64 / 50.0).powf(exponent);
     SimConfig::paper(100.0, 42)
         .with_nodes(n)
         .with_region(Region::new(1500.0 * scale, 300.0 * scale))
         .with_duration(duration)
-        .with_engine(engine)
 }
 
 /// The acceptance workload: 10k nodes in the dense regime (degree ~48),
 /// two full beacon rounds, beacons only — the pure beacon storm.
 fn bench_engine_dense10k(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine_dense10k_2s");
-    for (name, engine) in [
-        ("serial", EngineKind::Serial),
-        ("parallel4", EngineKind::Parallel(4)),
-    ] {
-        g.bench_function(BenchmarkId::new(name, 10_000), |b| {
-            b.iter(|| {
-                let cfg = config(10_000, 0.25, 2.0, engine);
-                let wl = Workload::paper_style(cfg.n_nodes, 50, 1000);
-                Simulation::new(black_box(cfg), wl, |_, _| Idle).run()
-            })
-        });
-    }
+    g.bench_function(BenchmarkId::new("serial", 10_000), |b| {
+        b.iter(|| {
+            let cfg = config(10_000, 0.25, 2.0);
+            let wl = Workload::paper_style(cfg.n_nodes, 50, 1000);
+            Simulation::new(black_box(cfg), wl, |_, _| Idle).run()
+        })
+    });
     g.finish();
 }
 
@@ -67,7 +61,7 @@ fn bench_engine_dense10k(c: &mut Criterion) {
 /// `neighbor_footprint_bytes` rows.
 fn bench_engine_100k(c: &mut Criterion) {
     {
-        let cfg = config(100_000, 0.5, 1.0, EngineKind::Serial);
+        let cfg = config(100_000, 0.5, 1.0);
         let n = cfg.n_nodes;
         let wl = Workload::paper_style(n, 100, 1000);
         Simulation::new(cfg, wl, |_, _| Idle).run_inspect(|sim| {
@@ -86,42 +80,13 @@ fn bench_engine_100k(c: &mut Criterion) {
         });
     }
     let mut g = c.benchmark_group("engine_100k_1s");
-    for (name, engine) in [
-        ("serial", EngineKind::Serial),
-        ("parallel4", EngineKind::Parallel(4)),
-    ] {
-        g.bench_function(BenchmarkId::new(name, 100_000), |b| {
-            b.iter(|| {
-                let cfg = config(100_000, 0.5, 1.0, engine);
-                let wl = Workload::paper_style(cfg.n_nodes, 100, 1000);
-                Simulation::new(black_box(cfg), wl, |_, _| Idle).run()
-            })
-        });
-    }
-    g.finish();
-}
-
-/// Forced pool dispatch at CI-smoke scale: a dense 2k-node beacon storm
-/// with `parallel_grain` 1, so *every* reception fans out through the
-/// persistent worker pool. On multi-core hosts this shows the fan-out
-/// win; on the 1-core container it bounds the dispatch overhead the
-/// pool must keep negligible (the regression this row exists to catch —
-/// the per-event `thread::scope` spawn it replaced made this workload
-/// slower than serial).
-fn bench_pool_fanout(c: &mut Criterion) {
-    let mut g = c.benchmark_group("engine_pool_fanout");
-    for (name, engine) in [
-        ("serial", EngineKind::Serial),
-        ("parallel4", EngineKind::Parallel(4)),
-    ] {
-        g.bench_function(BenchmarkId::new(name, 2_000), |b| {
-            b.iter(|| {
-                let cfg = config(2_000, 0.25, 1.0, engine).with_parallel_grain(1);
-                let wl = Workload::paper_style(cfg.n_nodes, 20, 1000);
-                Simulation::new(black_box(cfg), wl, |_, _| Idle).run()
-            })
-        });
-    }
+    g.bench_function(BenchmarkId::new("serial", 100_000), |b| {
+        b.iter(|| {
+            let cfg = config(100_000, 0.5, 1.0);
+            let wl = Workload::paper_style(cfg.n_nodes, 100, 1000);
+            Simulation::new(black_box(cfg), wl, |_, _| Idle).run()
+        })
+    });
     g.finish();
 }
 
@@ -160,7 +125,6 @@ criterion_group!(
     engine,
     bench_engine_dense10k,
     bench_engine_100k,
-    bench_pool_fanout,
     bench_deployment_footprint
 );
 criterion_main!(engine);

@@ -40,7 +40,7 @@ use glr_core::{CopyPolicy, GlrConfig, LocationMode, SpannerMode};
 use glr_geometry::{
     euclidean_stretch, extract_dstd_path, k_ldtg, unit_disk_graph, DstdKind, Point2,
 };
-use glr_sim::{CellReport, EngineKind, MediumKind, ReportSet, Scenario, SimConfig, ThreadBudget};
+use glr_sim::{CellReport, MediumKind, ReportSet, Scenario, SimConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -81,17 +81,13 @@ impl Job {
 }
 
 const USAGE: &str =
-    "usage: experiments [--quick|--full] [--threads N] [--engine-threads K] [--shard I/N] \
-     [--json PATH] <id>...\n\
+    "usage: experiments [--quick|--full] [--threads N] [--shard I/N] [--json PATH] <id>...\n\
      \x20      experiments merge <out.json> <shard.json>...\n\
      \x20 ids: fig1 fig2 fig3 tab2 fig4 fig5 fig6 tab3 fig7 tab4 tab5 tab6\n\
      \x20      ablation-spanner ablation-copies ablation-perturb media-compare all\n\
-     \x20 --threads N         total thread budget for this invocation, shared between the\n\
-     \x20                     sweep's outer (cell,run) workers and the inner engines\n\
-     \x20                     (default: one per core, serial engines)\n\
-     \x20 --engine-threads K  run every cell under EngineKind::Parallel(K); with --threads N\n\
-     \x20                     the sweep keeps ~N/K outer workers so outer x inner stays\n\
-     \x20                     within the budget. Results are identical either way.";
+     \x20 --threads N  worker threads running (cell, run) units in parallel; each run is\n\
+     \x20              single-threaded (default: one per core). Results are identical\n\
+     \x20              for any N.";
 
 fn die(msg: &str) -> ! {
     eprintln!("{msg}");
@@ -122,7 +118,6 @@ fn main() {
     let mut effort = Effort::DEFAULT;
     let mut ids: Vec<String> = Vec::new();
     let mut threads: Option<usize> = None;
-    let mut engine_threads: Option<usize> = None;
     let mut shard: Option<(usize, usize)> = None;
     let mut json: Option<String> = None;
     let mut it = argv.iter();
@@ -135,13 +130,6 @@ fn main() {
                 threads = Some(
                     v.parse()
                         .unwrap_or_else(|_| die("--threads expects a number")),
-                );
-            }
-            "--engine-threads" => {
-                let v = it.next().unwrap_or_else(|| die(USAGE));
-                engine_threads = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| die("--engine-threads expects a number")),
                 );
             }
             "--shard" => {
@@ -301,59 +289,7 @@ fn main() {
     let skip: Vec<usize> = existing
         .as_ref()
         .map_or_else(Vec::new, ReportSet::completed_cells);
-    // Execution knobs are applied to a *copy* of the grid, after the
-    // context digest: engine kind and thread budget never change
-    // results (the engine-equivalence guarantee), so shards run with
-    // different --threads / --engine-threads on different machines must
-    // still merge byte-identically.
-    // --engine-threads alone must not oversubscribe: without an
-    // explicit budget, cap the *total* at the core count so outer ×
-    // inner never exceeds the host (the budget enforces it; the outer
-    // scaling below keeps the split sensible).
-    let engine = engine_threads
-        .map(|k| {
-            if k > 1 {
-                EngineKind::Parallel(k)
-            } else {
-                EngineKind::Serial
-            }
-        })
-        .filter(|e| *e != EngineKind::Serial);
-    let budget = match (threads, &engine) {
-        (Some(n), _) => ThreadBudget::total(n),
-        (None, Some(_)) => ThreadBudget::total(
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        ),
-        (None, None) => ThreadBudget::unlimited(),
-    };
-    let exec_cells: Vec<Cell> = cells
-        .iter()
-        .map(|c| {
-            let mut c = c.clone();
-            if let Some(engine) = engine {
-                c.scenario.config.engine = engine;
-            }
-            c.scenario.config.thread_budget = budget.clone();
-            c
-        })
-        .collect();
-    // With parallel engines, keep outer workers at ~budget/K so the
-    // shared ledger is split between layers instead of starving the
-    // engines (a pure scheduling choice — the budget enforces the cap
-    // either way).
-    let outer_threads = match (engine, budget.limit()) {
-        (Some(EngineKind::Parallel(k)), Some(total)) => Some((total / k).max(1)),
-        _ => threads,
-    };
-    let fresh = execute_cells(
-        &exec_cells,
-        effort.runs,
-        outer_threads,
-        budget,
-        shard,
-        &skip,
-    )
-    .with_context(context);
+    let fresh = execute_cells(&cells, effort.runs, threads, shard, &skip).with_context(context);
     let report = match existing {
         Some(prev) => ReportSet::merge(vec![prev, fresh])
             .unwrap_or_else(|e| die(&format!("cannot merge resumed results: {e}"))),

@@ -5,6 +5,7 @@
 //! benches: run drivers for both protocols, workload sizing, and
 //! paper-style table printing.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod render;
@@ -14,8 +15,7 @@ pub use render::{plot_data, svg_topology, Series};
 use glr_core::{Glr, GlrConfig};
 use glr_epidemic::Epidemic;
 use glr_sim::{
-    MultiRun, ReportSet, RunStats, Scenario, SimConfig, Simulation, Summary, Sweep, ThreadBudget,
-    Workload,
+    MultiRun, ReportSet, RunStats, Scenario, SimConfig, Simulation, Summary, Sweep, Workload,
 };
 
 /// How much simulation an experiment buys.
@@ -121,22 +121,16 @@ impl Cell {
 /// global cell indices so shard outputs merge back together); `skip`
 /// lists cells already completed by an interrupted run — they are not
 /// re-executed and are absent from the returned report (merge it with
-/// the old one to reassemble the full grid). `budget` is the total
-/// thread ledger the sweep's outer workers draw from; pass the same
-/// budget in the cells' `SimConfig`s (via
-/// [`glr_sim::SimConfig::with_thread_budget`]) to cap outer × inner
-/// parallelism jointly. None of these knobs affects the results.
+/// the old one to reassemble the full grid). None of these knobs
+/// affects the results.
 pub fn execute_cells(
     cells: &[Cell],
     runs: usize,
     threads: Option<usize>,
-    budget: ThreadBudget,
     shard: Option<(usize, usize)>,
     skip: &[usize],
 ) -> ReportSet {
-    let mut sweep = Sweep::new(runs)
-        .skipping(skip.iter().copied())
-        .with_budget(budget);
+    let mut sweep = Sweep::new(runs).skipping(skip.iter().copied());
     if let Some(t) = threads {
         sweep = sweep.with_threads(t);
     }
@@ -229,7 +223,7 @@ mod tests {
             ),
             Cell::epidemic(Scenario::new("epi-cell", sim).with_messages(5)),
         ];
-        let full = execute_cells(&cells, 2, Some(2), ThreadBudget::unlimited(), None, &[]);
+        let full = execute_cells(&cells, 2, Some(2), None, &[]);
         assert!(full.is_complete(2));
         assert_eq!(full.cells[0].label, "glr-cell");
         assert!(full
@@ -237,8 +231,8 @@ mod tests {
             .iter()
             .all(|c| c.runs.iter().all(|r| r.messages_created == 5)));
 
-        let s0 = execute_cells(&cells, 2, None, ThreadBudget::total(2), Some((0, 2)), &[]);
-        let s1 = execute_cells(&cells, 2, None, ThreadBudget::total(2), Some((1, 2)), &[]);
+        let s0 = execute_cells(&cells, 2, None, Some((0, 2)), &[]);
+        let s1 = execute_cells(&cells, 2, None, Some((1, 2)), &[]);
         assert!(!s0.is_complete(2));
         let merged = ReportSet::merge(vec![s1, s0]).expect("disjoint shards");
         assert_eq!(merged, full);

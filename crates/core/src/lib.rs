@@ -45,6 +45,7 @@
 //! (`glr_sim::TableBackend::Shared`) keep the beacon path near O(1) per
 //! reception.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod config;

@@ -16,6 +16,7 @@
 //! assert_eq!(stats.messages_created(), 10);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod buffer;

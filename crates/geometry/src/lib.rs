@@ -43,6 +43,7 @@
 //! assert!(next.is_some());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod delaunay;

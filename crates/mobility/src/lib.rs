@@ -22,6 +22,7 @@
 //! assert!(region.contains(p));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod arena;

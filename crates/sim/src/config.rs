@@ -1,58 +1,8 @@
 //! Simulation configuration.
 
 use crate::neighbors::TableBackend;
-use crate::pool::ThreadBudget;
 use crate::space::IndexBackend;
 use glr_mobility::Region;
-
-/// How the engine executes one run.
-///
-/// Mirrors the backend-pair pattern of [`IndexBackend`] and
-/// [`TableBackend`]: [`EngineKind::Serial`] is the reference
-/// implementation, [`EngineKind::Parallel`] fans the read-only part of
-/// wide same-tick work (a beacon's per-receiver reception) across a
-/// persistent [`crate::WorkerPool`] — parked workers, spawned lazily on
-/// the first wide event, sized by the run's [`ThreadBudget`] — and
-/// commits effects in the exact sequential order, producing
-/// **bit-identical** [`crate::RunStats`] for any thread count (asserted
-/// by `tests/engine_equivalence.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// One thread processes every event in order. The reference.
-    #[default]
-    Serial,
-    /// Per-receiver reception work of wide events is chunked across this
-    /// many worker threads; effects are committed in sequential order.
-    /// Results are independent of the thread count.
-    Parallel(usize),
-}
-
-impl EngineKind {
-    /// Worker threads this engine uses (1 for [`EngineKind::Serial`]).
-    pub fn threads(&self) -> usize {
-        match self {
-            EngineKind::Serial => 1,
-            EngineKind::Parallel(k) => *k,
-        }
-    }
-
-    /// A short stable name (`"serial"` / `"parallel"`) for labels.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EngineKind::Serial => "serial",
-            EngineKind::Parallel(_) => "parallel",
-        }
-    }
-}
-
-impl std::fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EngineKind::Serial => f.write_str("serial"),
-            EngineKind::Parallel(k) => write!(f, "parallel({k})"),
-        }
-    }
-}
 
 /// Full configuration of a simulation run.
 ///
@@ -122,25 +72,6 @@ pub struct SimConfig {
     /// default, [`TableBackend::CloneMerge`] is the clone-and-merge
     /// reference implementation.
     pub neighbor_tables: TableBackend,
-    /// Engine execution mode. [`EngineKind::Serial`] (the default,
-    /// reference implementation) and [`EngineKind::Parallel`] produce
-    /// bit-identical [`crate::RunStats`] for any thread count.
-    pub engine: EngineKind,
-    /// Minimum receivers a beacon needs before [`EngineKind::Parallel`]
-    /// fans its reception across workers; narrower events stay on the
-    /// serial path (thread dispatch would cost more than the work).
-    /// Results are independent of this value — it is purely a
-    /// performance knob (and the lever equivalence tests use to force
-    /// the parallel path at small scale).
-    pub parallel_grain: usize,
-    /// Thread budget the engine's worker pool draws from. The default
-    /// ([`ThreadBudget::unlimited`]) grants [`EngineKind::Parallel`]
-    /// exactly the threads it asks for; a run spawned inside a
-    /// [`crate::Sweep`] shares one ledger with the sweep's outer
-    /// workers, so outer × inner parallelism never oversubscribes the
-    /// budget. Purely a scheduling knob: results are bit-identical for
-    /// any budget.
-    pub thread_budget: ThreadBudget,
     /// RNG seed; runs with equal configuration and seed are identical.
     pub seed: u64,
 }
@@ -167,9 +98,6 @@ impl SimConfig {
             stats_interval: 1.0,
             neighbor_index: IndexBackend::Grid,
             neighbor_tables: TableBackend::Shared,
-            engine: EngineKind::Serial,
-            parallel_grain: 512,
-            thread_budget: ThreadBudget::unlimited(),
             seed,
         }
     }
@@ -229,32 +157,6 @@ impl SimConfig {
         self
     }
 
-    /// Returns the config with a different engine execution mode.
-    /// [`EngineKind::Serial`] and [`EngineKind::Parallel`] are
-    /// bit-identical for any thread count.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Returns the config with a different parallel fan-out grain (the
-    /// minimum per-event receiver count before [`EngineKind::Parallel`]
-    /// spawns workers). Purely a performance knob; results are
-    /// independent of it.
-    pub fn with_parallel_grain(mut self, grain: usize) -> Self {
-        self.parallel_grain = grain;
-        self
-    }
-
-    /// Returns the config drawing its engine threads from `budget` — a
-    /// cloneable ledger shared with everything else holding the same
-    /// budget (typically a [`crate::Sweep`]'s outer workers). Purely a
-    /// scheduling knob; results are bit-identical for any budget.
-    pub fn with_thread_budget(mut self, budget: ThreadBudget) -> Self {
-        self.thread_budget = budget;
-        self
-    }
-
     /// Transmission time of a frame of `size` payload bytes, in seconds
     /// (serialisation plus fixed MAC overhead).
     pub fn tx_time(&self, size: u32) -> f64 {
@@ -290,14 +192,6 @@ impl SimConfig {
             "ttl must cover a beacon interval"
         );
         assert!(self.mac_slot >= 0.0 && self.mac_overhead_bits >= 0.0);
-        assert!(
-            self.engine.threads() >= 1,
-            "parallel engine needs at least one worker thread"
-        );
-        assert!(
-            self.parallel_grain >= 1,
-            "parallel grain must be at least 1"
-        );
         assert!(
             (0.0..1.0).contains(&self.collision_prob),
             "collision prob in [0,1)"

@@ -5,8 +5,8 @@
 //! monotone sequence number breaks ties), which is what makes a run a
 //! pure function of its inputs: no ordering is ever left to the heap's
 //! whim. [`EventQueue::drain_due`] hands the engine everything due at
-//! one timestamp as a batch — the unit the batched-delivery loop and
-//! the parallel reception phase operate on.
+//! one timestamp as a batch — the unit the batched-delivery loop
+//! operates on.
 
 use crate::ids::NodeId;
 use crate::queue::TimedQueue;

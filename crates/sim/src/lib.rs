@@ -24,14 +24,13 @@
 //!
 //! | module | responsibility |
 //! |---|---|
-//! | [`mod@sim`] | event sequencing: drains same-tick batches, advances the clock, dispatches ([`EngineKind::Serial`] reference / [`EngineKind::Parallel`] deterministic fan-out) |
-//! | [`mod@pool`] | the parallel runtime: persistent [`WorkerPool`] (parked workers, lazy spawn, scoped dispatch) and the [`ThreadBudget`] ledger shared across engine, [`Sweep`] and [`MultiRun`] |
+//! | [`mod@sim`] | event sequencing: drains same-tick batches, advances the clock, dispatches each event in order on one thread |
 //! | [`mod@medium`] | radio/PHY behind the pluggable [`Medium`] trait: [`ContentionMedium`] (default), [`IdealMedium`], [`ShadowingMedium`], [`DutyCycledMedium`] |
 //! | [`mod@neighbors`] | IMEP beacon sensing: `Arc`-interned beacon snapshots and incrementally merged 1-/2-hop tables with TTL expiry ([`TableBackend::Shared`]), plus the clone-and-merge reference ([`TableBackend::CloneMerge`]) |
 //! | [`mod@space`] | proximity queries: grid-indexed ([`SpatialIndex`]) with an exact linear-scan reference backend |
 //! | [`mod@world`] | shared state: clock, trajectories, RNG, statistics |
 //! | [`mod@scenario`] | declarative experiment cells: [`Scenario`] = config + workload + [`MediumKind`] |
-//! | [`mod@sweep`] | the parameter-sweep engine: work-queue execution of `(cell, seed)` units, sharding, deterministic collection |
+//! | [`mod@sweep`] | the parameter-sweep engine: work-queue execution of `(cell, run)` units on scoped threads, sharding, deterministic collection |
 //! | [`mod@report`] | shard-mergeable per-run metrics with a serde-free JSON round trip |
 //! | [`mod@queue`] | deterministic time-then-FIFO priority queue ([`TimedQueue`]) with same-tick batch drain |
 //!
@@ -49,9 +48,18 @@
 //! either neighbour-table backend, any thread count, any shard split,
 //! and any conforming medium.
 //!
+//! # Where the parallelism is
+//!
+//! A run is single-threaded. The paper's results are grids of small
+//! 50-node runs repeated over seeds, so the parallelism lives only in
+//! [`Sweep`] (and [`MultiRun`], a one-cell sweep): `min(threads, units)`
+//! scoped workers pull `(cell, run)` units from one atomic cursor and
+//! results are collected by unit index, so [`RunStats`] are
+//! bit-identical for any thread count and any shard split.
+//!
 //! # Scaling to 100k+ nodes
 //!
-//! Three hot paths get faster backends, each validated bit-for-bit
+//! Two hot paths get faster backends, each validated bit-for-bit
 //! against a straightforward reference implementation:
 //!
 //! * proximity queries — [`IndexBackend::Grid`] vs
@@ -60,36 +68,7 @@
 //!   `Arc`-interned snapshot per beacon shared by all receivers,
 //!   incremental keyed merges, lazy staleness sweeping, cached
 //!   [`Ctx::neighbors`]/[`Ctx::local_view`]) vs
-//!   [`TableBackend::CloneMerge`] (`tests/table_equivalence.rs`);
-//! * the engine loop — [`EngineKind::Parallel`] (same-tick batch drain,
-//!   read-only per-receiver reception compute fanned across a
-//!   persistent [`WorkerPool`], in-order commit) vs
-//!   [`EngineKind::Serial`] (`tests/engine_equivalence.rs`); select via
-//!   [`SimConfig::with_engine`].
-//!
-//! # The parallel runtime: one pool, one budget
-//!
-//! All thread-level parallelism runs on [`mod@pool`]:
-//!
-//! * Each parallel run owns a [`WorkerPool`] — workers spawn lazily on
-//!   the first wide event, park between events, and are joined when the
-//!   run ends. Replacing the per-event `std::thread::scope` spawn with
-//!   parked workers is what makes the fan-out pay off (spawn/join per
-//!   wide beacon used to eat the entire parallel gain).
-//! * [`Sweep`] (and [`MultiRun`], a one-cell sweep) drains its
-//!   `(cell, run)` work queue through a pool of its own.
-//! * Both layers draw their threads from a **shared [`ThreadBudget`]**:
-//!   `Sweep::with_budget(b)` sizes the outer workers and
-//!   [`SimConfig::with_thread_budget`] hands the same ledger to each
-//!   run's engine, so a budget of 8 yields e.g. 4 sweep workers × 2
-//!   engine threads — or 1 × 8 for a single 100k-node run — and never
-//!   32 oversubscribed threads. An exhausted ledger degrades cleanly:
-//!   a grant of zero extra threads is the serial path.
-//!
-//! The scheduling never affects results: pools distribute *which thread
-//! computes*, and every order-sensitive effect stays on the in-order
-//! commit paths, so [`RunStats`] are bit-identical for any engine,
-//! thread count and budget.
+//!   [`TableBackend::CloneMerge`] (`tests/table_equivalence.rs`).
 //!
 //! Single-run memory is flat: the whole deployment's trajectories are
 //! interned into one contiguous [`glr_mobility::DeploymentArena`]
@@ -102,25 +81,8 @@
 //!
 //! [`Scenario::large_n_tier`] builds a ready-made 10k-node preset —
 //! paper density via [`SimConfig::paper_scaled`], one cell per built-in
-//! medium; `examples/large_n.rs` runs it (CI smokes it at 10k, and at
-//! 100k nodes under `EngineKind::Parallel`) on every push.
-//!
-//! Selecting the engine is one builder call; everything else — results
-//! included — is unchanged:
-//!
-//! ```
-//! use glr_sim::{EngineKind, SimConfig};
-//!
-//! // Reference engine (the default):
-//! let serial = SimConfig::paper_scaled(10_000, 100.0, 1).with_duration(2.0);
-//! // Fan wide beacon receptions across 8 workers; Ctx/Protocol code,
-//! // statistics and fingerprints are identical bit for bit:
-//! let parallel = serial.clone().with_engine(EngineKind::Parallel(8));
-//! assert_eq!(parallel.engine.threads(), 8);
-//! // `parallel_grain` tunes when fan-out engages (never what it computes).
-//! let eager = parallel.with_parallel_grain(64);
-//! eager.validate();
-//! ```
+//! medium; `examples/large_n.rs` runs it (CI smokes it at 10k and at
+//! 100k nodes) on every push.
 //!
 //! # Example
 //!
@@ -158,6 +120,7 @@
 //! assert_eq!(stats.messages_created(), 20);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod config;
@@ -166,7 +129,6 @@ mod ids;
 mod json;
 pub mod medium;
 pub mod neighbors;
-pub mod pool;
 pub mod queue;
 pub mod report;
 mod runner;
@@ -179,7 +141,7 @@ mod time;
 mod workload;
 pub mod world;
 
-pub use config::{EngineKind, SimConfig};
+pub use config::SimConfig;
 pub use ids::{MessageId, MessageInfo, NodeId};
 pub use medium::{
     ContentionMedium, DutyCycledMedium, Frame, IdealMedium, Medium, PacketKind, QueueFull,
@@ -189,7 +151,6 @@ pub use neighbors::{
     BeaconSnapshot, NeighborEntry, NeighborTables, NeighborsIter, NeighborsView, TableBackend,
     TableFootprint,
 };
-pub use pool::{BudgetLease, LiveWorkers, ThreadBudget, WorkerPool};
 pub use queue::TimedQueue;
 pub use report::{CellReport, ReportSet, RunMetrics};
 pub use runner::MultiRun;

@@ -43,7 +43,6 @@
 //!    snapshot per sender loses nothing a fresh query could see.
 
 use crate::ids::NodeId;
-use crate::pool::{Task, WorkerPool};
 use crate::time::SimTime;
 use glr_geometry::Point2;
 use std::collections::HashMap;
@@ -333,93 +332,6 @@ impl NeighborTables {
         }
     }
 
-    /// [`NeighborTables::record_beacon`] for a whole receiver set at
-    /// once, with the per-receiver merges fanned across the worker
-    /// [`pool`](WorkerPool) in fixed chunks — the compute phase of the
-    /// engine's deterministic parallel reception. A `pool` of `None`
-    /// (or of one thread) runs the ascending sequential loop — the
-    /// serial reference path.
-    ///
-    /// `receivers` must be strictly ascending (the order
-    /// [`crate::World::nodes_within`] returns). `was_fresh` is cleared
-    /// and filled with one flag per receiver, exactly the values a
-    /// sequential `record_beacon` loop would have returned.
-    ///
-    /// **Why this is deterministic.** Each receiver's merge touches only
-    /// that receiver's table (disjoint `&mut` access, enforced by the
-    /// type system via slice splitting), draws no randomness, and
-    /// touches no statistics; merges of distinct receivers therefore
-    /// commute, and running them concurrently is observably identical to
-    /// the ascending-order sequential loop. The engine keeps everything
-    /// order-sensitive — protocol hooks, stats, event scheduling — in
-    /// its in-order commit phase.
-    pub fn record_beacon_batch(
-        &mut self,
-        receivers: &[NodeId],
-        sender: NeighborEntry,
-        snapshot: &BeaconSnapshot,
-        now: SimTime,
-        pool: Option<&WorkerPool>,
-        was_fresh: &mut Vec<bool>,
-    ) {
-        debug_assert!(
-            receivers.windows(2).all(|w| w[0] < w[1]),
-            "receivers must be strictly ascending"
-        );
-        was_fresh.clear();
-        let workers = pool.map_or(1, WorkerPool::threads);
-        if workers <= 1 || receivers.len() < 2 {
-            for &v in receivers {
-                was_fresh.push(self.record_beacon(v, sender, snapshot, now));
-            }
-            return;
-        }
-        let pool = pool.expect("workers > 1 implies a pool");
-        was_fresh.resize(receivers.len(), false);
-        let chunk = receivers.len().div_ceil(workers);
-        match &mut self.backend {
-            Backend::Shared(t) => {
-                let horizon = now.as_secs() - t.ttl;
-                let mut tables = disjoint_muts(&mut t.nodes, receivers);
-                let tasks: Vec<Task<'_>> = tables
-                    .chunks_mut(chunk)
-                    .zip(was_fresh.chunks_mut(chunk))
-                    .map(|(tc, fc)| {
-                        Box::new(move || {
-                            for (table, fresh) in tc.iter_mut().zip(fc.iter_mut()) {
-                                *fresh = table.record_beacon(sender, snapshot, horizon);
-                            }
-                        }) as Task<'_>
-                    })
-                    .collect();
-                pool.run(tasks);
-            }
-            Backend::CloneMerge(t) => {
-                let horizon = t.horizon(now);
-                let snapshot = snapshot.entries();
-                let mut ones = disjoint_muts(&mut t.one_hop, receivers);
-                let mut twos = disjoint_muts(&mut t.two_hop, receivers);
-                let tasks: Vec<Task<'_>> = ones
-                    .chunks_mut(chunk)
-                    .zip(twos.chunks_mut(chunk))
-                    .zip(receivers.chunks(chunk).zip(was_fresh.chunks_mut(chunk)))
-                    .map(|((oc, tc), (rc, fc))| {
-                        Box::new(move || {
-                            for (((one, two), &receiver), fresh) in
-                                oc.iter_mut().zip(tc.iter_mut()).zip(rc).zip(fc.iter_mut())
-                            {
-                                *fresh = CloneTables::record_beacon_at(
-                                    one, two, receiver, sender, snapshot, horizon,
-                                );
-                            }
-                        }) as Task<'_>
-                    })
-                    .collect();
-                pool.run(tasks);
-            }
-        }
-    }
-
     /// Heap footprint of the tables — the per-node protocol-state
     /// telemetry the 100k-node memory work reports (hash-map sizes are
     /// bucket-count estimates; everything else is exact capacity
@@ -457,23 +369,6 @@ impl NeighborTables {
     }
 }
 
-/// Disjoint mutable references to `slice[ids[0]], slice[ids[1]], …` for
-/// strictly ascending ids, extracted by repeated `split_at_mut` — the
-/// safe-Rust form of handing each parallel reception worker its own
-/// receivers' tables.
-fn disjoint_muts<'a, T>(mut slice: &'a mut [T], ids: &[NodeId]) -> Vec<&'a mut T> {
-    let mut out = Vec::with_capacity(ids.len());
-    let mut base = 0usize;
-    for id in ids {
-        let i = id.index() - base;
-        let (head, tail) = slice.split_at_mut(i + 1);
-        out.push(&mut head[i]);
-        base += i + 1;
-        slice = tail;
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Shared backend
 // ---------------------------------------------------------------------------
@@ -494,8 +389,7 @@ const SWEEP_SLACK: usize = 4;
 struct SharedTables {
     /// Hot per-node state: everything a beacon reception touches. Kept
     /// separate from the cold view caches (SoA split) so the dense
-    /// beacon storm walks a ~45 % smaller array and reception worker
-    /// chunks cover fewer cache lines.
+    /// beacon storm walks a ~45 % smaller array.
     nodes: Vec<NodeTable>,
     /// Cold per-node state: the `(time, generation)`-keyed snapshot and
     /// view caches, touched only when a node sends a beacon or a
@@ -600,9 +494,7 @@ impl NodeTable {
     /// The per-receiver beacon merge: freshest-wins upsert of the
     /// sender, latest-snapshot-per-sender store, GC-horizon advance and
     /// amortised sweep — all off a single `peers` probe. Touches only
-    /// this table — the property the engine's parallel reception phase
-    /// relies on to fan receivers of one beacon across threads with
-    /// disjoint `&mut` access.
+    /// this table.
     fn record_beacon(
         &mut self,
         sender: NeighborEntry,
@@ -975,28 +867,8 @@ impl CloneTables {
         now: SimTime,
     ) -> bool {
         let horizon = self.horizon(now);
-        let vi = receiver.index();
-        Self::record_beacon_at(
-            &mut self.one_hop[vi],
-            &mut self.two_hop[vi],
-            receiver,
-            sender,
-            snapshot,
-            horizon,
-        )
-    }
-
-    /// The per-receiver merge on one `(one_hop, two_hop)` table pair —
-    /// split out so the parallel reception phase can run it over
-    /// disjoint `&mut` table pairs.
-    fn record_beacon_at(
-        one_hop: &mut Vec<NeighborEntry>,
-        two_hop: &mut Vec<NeighborEntry>,
-        receiver: NodeId,
-        sender: NeighborEntry,
-        snapshot: &[NeighborEntry],
-        horizon: f64,
-    ) -> bool {
+        let one_hop = &mut self.one_hop[receiver.index()];
+        let two_hop = &mut self.two_hop[receiver.index()];
         let was_fresh = one_hop
             .iter()
             .any(|e| e.id == sender.id && e.heard_at.as_secs() >= horizon);

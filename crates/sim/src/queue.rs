@@ -11,8 +11,7 @@
 //! pick each level's minimum child by pairwise tournament (two
 //! independent first-round compares instead of a serial min scan — the
 //! fix for the small-heap regression where the dependent-compare chain,
-//! not cache misses, dominated) and index uncheckedly along the
-//! invariant-guarded sift path. [`TimedQueue::drain_due`] pops *every*
+//! not cache misses, dominated). [`TimedQueue::drain_due`] pops *every*
 //! item due at one timestamp in a single call — the batch pop the
 //! engine's same-tick delivery loop is built on.
 //!
@@ -135,9 +134,7 @@ impl<T: Copy> TimedQueue<T> {
         // fewer comparisons than a guarded sink on every level. The
         // min-of-children scan keeps the running minimum's key in a
         // register (one load + one compare per child, no re-reads of
-        // the current minimum slot) and uses unchecked indexing: the
-        // data-dependent sift path made the bounds-check branches a
-        // measurable fraction of a pop on small, cache-resident heaps.
+        // the current minimum slot).
         let n = self.slots.len();
         let slots = self.slots.as_mut_slice();
         let mut i = 0;
@@ -145,47 +142,34 @@ impl<T: Copy> TimedQueue<T> {
         // tournament instead of a linear min scan — the two first-round
         // compares are independent, which roughly halves the
         // data-dependent latency chain the linear scan suffered.
-        // SAFETY (both loops): child indices are `< n` by the loop
-        // conditions; `i` starts at 0 on a non-empty slice and is then
-        // a previous in-range child.
         loop {
             let c = i * ARITY + 1;
             if c + ARITY > n {
                 break;
             }
-            unsafe {
-                let (k0, k1) = (
-                    slots.get_unchecked(c).key(),
-                    slots.get_unchecked(c + 1).key(),
-                );
-                let (k2, k3) = (
-                    slots.get_unchecked(c + 2).key(),
-                    slots.get_unchecked(c + 3).key(),
-                );
-                let (ka, ia) = if k1 < k0 { (k1, c + 1) } else { (k0, c) };
-                let (kb, ib) = if k3 < k2 { (k3, c + 3) } else { (k2, c + 2) };
-                let min = if kb < ka { ib } else { ia };
-                *slots.get_unchecked_mut(i) = *slots.get_unchecked(min);
-                i = min;
-            }
+            let (k0, k1) = (slots[c].key(), slots[c + 1].key());
+            let (k2, k3) = (slots[c + 2].key(), slots[c + 3].key());
+            let (ka, ia) = if k1 < k0 { (k1, c + 1) } else { (k0, c) };
+            let (kb, ib) = if k3 < k2 { (k3, c + 3) } else { (k2, c + 2) };
+            let min = if kb < ka { ib } else { ia };
+            slots[i] = slots[min];
+            i = min;
         }
         // At most one partial level remains.
         let first_child = i * ARITY + 1;
         if first_child < n {
             let last_child = (first_child + ARITY).min(n);
-            unsafe {
-                let mut min = first_child;
-                let mut min_key = slots.get_unchecked(first_child).key();
-                for c in first_child + 1..last_child {
-                    let key = slots.get_unchecked(c).key();
-                    if key < min_key {
-                        min = c;
-                        min_key = key;
-                    }
+            let mut min = first_child;
+            let mut min_key = slots[first_child].key();
+            for (c, slot) in (first_child + 1..).zip(&slots[first_child + 1..last_child]) {
+                let key = slot.key();
+                if key < min_key {
+                    min = c;
+                    min_key = key;
                 }
-                *slots.get_unchecked_mut(i) = *slots.get_unchecked(min);
-                i = min;
             }
+            slots[i] = slots[min];
+            i = min;
         }
         slots[i] = last;
         self.sift_up(i);
@@ -209,22 +193,18 @@ impl<T: Copy> TimedQueue<T> {
     /// smaller, shifting displaced parents down through a hole.
     fn sift_up(&mut self, mut i: usize) {
         let slots = self.slots.as_mut_slice();
-        // SAFETY: `i` starts in range (callers pass an index < len) and
-        // only ever decreases (`parent < i`).
-        unsafe {
-            let slot = *slots.get_unchecked(i);
-            let key = slot.key();
-            while i > 0 {
-                let parent = (i - 1) / ARITY;
-                if key < slots.get_unchecked(parent).key() {
-                    *slots.get_unchecked_mut(i) = *slots.get_unchecked(parent);
-                    i = parent;
-                } else {
-                    break;
-                }
+        let slot = slots[i];
+        let key = slot.key();
+        while i > 0 {
+            let parent = (i - 1) / ARITY;
+            if key < slots[parent].key() {
+                slots[i] = slots[parent];
+                i = parent;
+            } else {
+                break;
             }
-            *slots.get_unchecked_mut(i) = slot;
         }
+        slots[i] = slot;
     }
 }
 

@@ -7,11 +7,12 @@
 //!
 //! [`MultiRun::execute`] fans the runs out across OS threads (one run is
 //! a pure function of `(config, workload, protocol, seed)`, so runs are
-//! embarrassingly parallel). Since PR 2 the execution itself is the
-//! [`Sweep`] engine's work queue — a `MultiRun` is simply a sweep of one
-//! cell — so the summaries are identical to the serial path regardless
-//! of thread count or completion order, asserted by the tests below and
-//! by the sweep engine's own.
+//! embarrassingly parallel). The execution itself is the [`Sweep`]
+//! engine's work queue — a `MultiRun` is simply a sweep of one cell — so
+//! the summaries are identical to the serial path regardless of thread
+//! count or completion order, asserted by the tests below and by the
+//! sweep engine's own. Each run is single-threaded; runs are the only
+//! unit of parallelism.
 
 use crate::config::SimConfig;
 use crate::stats::{summarize, RunStats, Summary};
@@ -63,13 +64,8 @@ impl MultiRun {
         run_fn: impl Fn(SimConfig) -> RunStats + Send + Sync,
     ) -> Self {
         assert!(runs > 0, "need at least one run");
-        // The outer run fan-out draws from the same thread budget the
-        // per-run engines use (the configs handed to `run_fn` carry the
-        // same ledger), so `threads` is a cap within the budget, not an
-        // addition to it.
         let results = Sweep::new(runs)
             .with_threads(threads)
-            .with_budget(config.thread_budget.clone())
             .execute(&[()], |(), i| {
                 run_fn(config.clone().with_seed(config.seed + i as u64))
             });

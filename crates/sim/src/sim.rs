@@ -21,27 +21,19 @@
 //! everything due at the next timestamp into a batch (time-then-FIFO
 //! order preserved), advances the clock, and dispatches each event to
 //! the medium, the neighbour tables, the workload, or a protocol hook.
-//! Under [`crate::EngineKind::Parallel`] a wide beacon's per-receiver
-//! reception merges — disjoint, randomness-free, statistics-free — are
-//! fanned in fixed chunks across a persistent [`WorkerPool`] (parked
-//! workers spawned lazily on the first wide event and reused for the
-//! whole run, sized by the [`crate::ThreadBudget`] in the
-//! configuration), and everything order-sensitive (protocol hooks,
-//! stats, scheduling) commits in the exact sequential order afterwards;
-//! the serial engine remains the reference and both are bit-identical
-//! for any thread count and budget (`tests/engine_equivalence.rs`).
+//! A run is single-threaded; parallelism lives one level up, in
+//! [`crate::Sweep`] / [`crate::MultiRun`], across independent runs.
 //! Protocols implement [`Protocol`] and interact with the world through
 //! [`Ctx`]. All randomness flows from the seed in [`crate::SimConfig`],
 //! so a run is a pure function of `(config, workload, protocol, seed)`
-//! — under either spatial-index backend, either engine, and any
-//! conforming medium.
+//! — under either spatial-index backend, either neighbour-table
+//! backend, and any conforming medium.
 
 use crate::config::SimConfig;
 use crate::event::{EventKind, EventQueue};
 use crate::ids::{MessageId, MessageInfo, NodeId};
 use crate::medium::{ContentionMedium, Frame, Medium, PacketKind, QueueFull, TxResolution};
 use crate::neighbors::{NeighborEntry, NeighborTables, NeighborsView, TableFootprint};
-use crate::pool::WorkerPool;
 use crate::stats::RunStats;
 use crate::time::SimTime;
 use crate::workload::Workload;
@@ -100,11 +92,6 @@ struct Core<Pk> {
     events: EventQueue,
     medium: Box<dyn Medium<Pk>>,
     tables: NeighborTables,
-    /// Persistent fan-out pool for [`crate::EngineKind::Parallel`]:
-    /// sized by the configuration's engine × thread budget, spawned
-    /// lazily on the first wide event, parked between events, joined on
-    /// drop. Serial engines get an inert single-thread pool.
-    pool: WorkerPool,
 }
 
 // ---------------------------------------------------------------------------
@@ -284,7 +271,7 @@ pub struct Simulation<P: Protocol> {
     batch: Vec<EventKind>,
     /// Reusable receiver buffer for beacon events.
     receivers: Vec<NodeId>,
-    /// Reusable per-receiver freshness flags for batched reception.
+    /// Reusable per-receiver freshness flags for beacon reception.
     fresh: Vec<bool>,
 }
 
@@ -359,16 +346,11 @@ impl<P: Protocol> Simulation<P> {
             .map(|i| workload.message_id(i))
             .collect();
         let tables = NeighborTables::new(n, config.neighbor_ttl, config.neighbor_tables);
-        // The pool asks the run's budget for the engine's threads; a
-        // serial engine (or an exhausted budget) yields a one-thread
-        // pool that never spawns anything.
-        let pool = WorkerPool::from_budget(&config.thread_budget, config.engine.threads());
         let core = Core {
             world: World::new(config, trajectories, rng),
             events: EventQueue::new(),
             medium,
             tables,
-            pool,
         };
         Simulation {
             core,
@@ -404,7 +386,7 @@ impl<P: Protocol> Simulation<P> {
     /// Like [`Simulation::run`], additionally handing the finished
     /// simulation to `inspect` before it is torn down — the hook for
     /// end-of-run telemetry that is not part of [`RunStats`] (and must
-    /// not be, since `RunStats` equality underpins the engine/backend
+    /// not be, since `RunStats` equality underpins the backend
     /// equivalence guarantees), such as
     /// [`Simulation::neighbor_footprint`].
     pub fn run_inspect(mut self, inspect: impl FnOnce(&Self)) -> RunStats {
@@ -480,12 +462,6 @@ impl<P: Protocol> Simulation<P> {
         self.core.world.stats
     }
 
-    /// The engine's fan-out pool (inert for serial engines and budgets of
-    /// one) — read it at end of run via [`Simulation::run_inspect`].
-    pub fn engine_pool(&self) -> &WorkerPool {
-        &self.core.pool
-    }
-
     /// Heap-memory telemetry of the neighbour tables (per-node protocol
     /// state) — read it at end of run via [`Simulation::run_inspect`].
     pub fn neighbor_footprint(&self) -> TableFootprint {
@@ -517,29 +493,21 @@ impl<P: Protocol> Simulation<P> {
             pos: pos_u,
             heard_at: now,
         };
-        // Deterministic (possibly parallel) reception. Compute phase:
-        // the per-receiver snapshot merges commute (each touches only
-        // its receiver's table, draws no randomness, counts no
-        // statistics), so fanning them across the run's persistent
-        // worker pool in fixed chunks — engaged only for receiver sets
-        // wide enough to repay dispatch — is observably identical to
-        // the single-worker ascending loop. Commit phase: everything
-        // order-sensitive — new-contact protocol hooks, with their
-        // sends, timers and RNG draws — replays in exact sequential
-        // order.
-        let pool = self.core.pool.clone();
-        let wide = pool.threads() > 1 && receivers.len() >= self.core.world.config.parallel_grain;
-        let mut fresh = std::mem::take(&mut self.fresh);
-        self.core.tables.record_beacon_batch(
-            &receivers,
-            sender,
-            &snapshot,
-            now,
-            if wide { Some(&pool) } else { None },
-            &mut fresh,
+        // Merge the beacon into every receiver's tables first, then run
+        // the new-contact hooks in ascending receiver order. Interleaving
+        // merges and hooks would change what a hook observes through its
+        // `Ctx`, and with it the run's results.
+        debug_assert!(
+            receivers.windows(2).all(|w| w[0] < w[1]),
+            "receivers must be strictly ascending"
         );
-        for (i, &v) in receivers.iter().enumerate() {
-            if !fresh[i] {
+        let mut fresh = std::mem::take(&mut self.fresh);
+        fresh.clear();
+        for &v in &receivers {
+            fresh.push(self.core.tables.record_beacon(v, sender, &snapshot, now));
+        }
+        for (&v, &was_fresh) in receivers.iter().zip(&fresh) {
+            if !was_fresh {
                 Self::with_protocol(&mut self.core, &mut self.protocols, v, |p, ctx| {
                     p.on_neighbor_appeared(ctx, u)
                 });

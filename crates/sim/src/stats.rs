@@ -28,8 +28,8 @@ pub struct MessageRecord {
 /// Everything measured during one simulation run.
 ///
 /// Derives `PartialEq` so refactor-safety tests can assert that two runs
-/// (e.g. grid- vs linear-indexed, serial vs parallel) are *bit-identical*,
-/// not merely similar.
+/// (e.g. grid- vs linear-indexed, or at different sweep thread counts)
+/// are *bit-identical*, not merely similar.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
     records: Vec<MessageRecord>,

@@ -5,12 +5,11 @@
 //! runs. [`Sweep`] executes such grids: the caller expands its axes into
 //! a flat cell list (typically `Vec<Scenario>`, but any `Sync` cell type
 //! works), and the engine flattens `(cell, run)` pairs into a work queue
-//! that [`crate::WorkerPool`] workers drain via an atomic cursor — long
-//! cells never leave threads idle the way per-cell fan-out would. The
-//! outer workers draw from a [`ThreadBudget`] ([`Sweep::with_budget`])
-//! that the cells' inner engines can share through
-//! [`crate::SimConfig::with_thread_budget`], so composing sweep-level
-//! and engine-level parallelism never oversubscribes the host.
+//! that scoped worker threads drain via an atomic cursor — long cells
+//! never leave threads idle the way per-cell fan-out would. This is the
+//! only place the simulator uses more than one thread: each run itself
+//! is single-threaded, and the paper's grids (many small 50-node runs)
+//! parallelise across `(cell, run)` units.
 //!
 //! Determinism: a work unit is a pure function of `(cell, run index)`
 //! (the run function derives the seed from the cell's base seed plus the
@@ -33,10 +32,8 @@
 //! a killed run continues where it stopped; merging the old and new
 //! results is byte-identical to an uninterrupted run.
 
-use crate::pool::{Task, ThreadBudget, WorkerPool};
 use crate::stats::RunStats;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Which slice of a sweep's cells one invocation executes: cells with
 /// `index % of == index_of_this_shard`.
@@ -65,14 +62,12 @@ impl Shard {
     }
 }
 
-/// The sweep engine: run count, worker threads, a thread budget shared
-/// with the runs' inner engines, an optional shard, and an optional set
-/// of cells to skip (resume support).
+/// The sweep engine: run count, worker threads, an optional shard, and
+/// an optional set of cells to skip (resume support).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sweep {
     runs_per_cell: usize,
     threads: usize,
-    budget: ThreadBudget,
     shard: Option<Shard>,
     skip: Vec<usize>,
 }
@@ -92,7 +87,6 @@ impl Sweep {
         Sweep {
             runs_per_cell,
             threads,
-            budget: ThreadBudget::unlimited(),
             shard: None,
             skip: Vec::new(),
         }
@@ -103,18 +97,6 @@ impl Sweep {
     /// cgroup-limited hosts).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Returns the sweep drawing its outer workers from `budget` — a
-    /// cloneable ledger meant to be shared with the cells' inner
-    /// engines via [`crate::SimConfig::with_thread_budget`], so outer
-    /// `(cell, run)` parallelism and inner per-event fan-out together
-    /// never exceed the budget (8 total = e.g. 4 sweep workers × 2
-    /// engine threads, or 1 × 8 for a single 100k-node run). Purely a
-    /// scheduling knob: results are bit-identical for any budget.
-    pub fn with_budget(mut self, budget: ThreadBudget) -> Self {
-        self.budget = budget;
         self
     }
 
@@ -168,7 +150,8 @@ impl Sweep {
     ///
     /// # Panics
     ///
-    /// Propagates the first panic of any run.
+    /// Propagates the panic of a failing run once the other workers
+    /// have drained the queue.
     pub fn execute<C: Sync>(
         &self,
         cells: &[C],
@@ -183,42 +166,36 @@ impl Sweep {
         if threads <= 1 {
             return self.execute_serial(cells, run_fn);
         }
-        // Outer workers come from the shared budget; whatever the
-        // ledger has left after this claim is what the runs' inner
-        // engines (drawing from the same budget through their configs)
-        // can still get. An exhausted budget degrades to the serial
-        // path.
-        let pool = WorkerPool::from_budget(&self.budget, threads);
-        if pool.threads() <= 1 {
-            return self.execute_serial(cells, run_fn);
-        }
-
         let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<RunStats>>> = units.iter().map(|_| Mutex::new(None)).collect();
-        let tasks: Vec<Task<'_>> = (0..pool.threads())
-            .map(|_| {
-                let next = &next;
-                let slots = &slots;
-                let units = &units;
-                let run_fn = &run_fn;
-                Box::new(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= units.len() {
-                        break;
-                    }
-                    let (c, r) = units[i];
-                    let stats = run_fn(&cells[c], r);
-                    *slots[i].lock().expect("result slot poisoned") = Some(stats);
-                }) as Task<'_>
-            })
-            .collect();
-        pool.run(tasks);
-
-        let mut flat = slots.into_iter().map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker exited without storing its run")
+        let mut slots: Vec<Option<RunStats>> = units.iter().map(|_| None).collect();
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut done = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(&(c, r)) = units.get(i) else {
+                                break done;
+                            };
+                            done.push((i, run_fn(&cells[c], r)));
+                        }
+                    })
+                })
+                .collect();
+            for worker in workers {
+                let done = worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                for (i, stats) in done {
+                    slots[i] = Some(stats);
+                }
+            }
         });
+
+        let mut flat = slots
+            .into_iter()
+            .map(|s| s.expect("every unit index is claimed exactly once"));
         let cells = owned
             .into_iter()
             .map(|cell| CellRuns {
@@ -421,6 +398,27 @@ mod tests {
             .execute(&cells, run_fn);
         let owned: Vec<usize> = res.cells().iter().map(|c| c.cell).collect();
         assert_eq!(owned, vec![2, 6, 8]);
+    }
+
+    /// A sweep whose unit (cell 5, run 1) panics, at `threads` workers.
+    fn sweep_with_failing_unit(threads: usize) {
+        let cells: Vec<u64> = (0..8).collect();
+        let _ = Sweep::new(2).with_threads(threads).execute(&cells, |c, r| {
+            assert!(!(*c == 5 && r == 1), "unit (5, 1) failed");
+            fake_run(*c, r)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "unit (5, 1) failed")]
+    fn panicking_run_propagates_at_two_threads() {
+        sweep_with_failing_unit(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "unit (5, 1) failed")]
+    fn panicking_run_propagates_at_four_threads() {
+        sweep_with_failing_unit(4);
     }
 
     #[test]

@@ -3,18 +3,13 @@
 //! `Simulation::run` a pure function of `(config, workload, protocol,
 //! seed)` — any behavioural drift changes at least one line.
 //!
-//! Each configuration also re-runs under `EngineKind::Parallel(4)` (with
-//! a grain of 1, so every beacon exercises the fan-out) and the digest
-//! is asserted identical to the serial engine's: the parallel engine is
-//! part of the regression surface, not a separate mode.
-//!
 //! ```sh
 //! cargo run --release --example fingerprint
 //! ```
 
 use glr::core::{Glr, GlrConfig};
 use glr::epidemic::Epidemic;
-use glr::sim::{EngineKind, RunStats, SimConfig, Simulation, Workload};
+use glr::sim::{RunStats, SimConfig, Simulation, Workload};
 
 fn fnv(h: u64, v: u64) -> u64 {
     (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
@@ -73,18 +68,7 @@ fn main() {
     ] {
         let cfg = SimConfig::paper(range, seed).with_duration(400.0);
         let wl = Workload::paper_style(cfg.n_nodes, 60, 1000);
-        let stats = run_one(name, cfg.clone(), wl.clone());
-        let parallel = run_one(
-            name,
-            cfg.with_engine(EngineKind::Parallel(4))
-                .with_parallel_grain(1),
-            wl,
-        );
-        assert_eq!(
-            digest(&stats),
-            digest(&parallel),
-            "{name}: parallel engine diverged from serial"
-        );
+        let stats = run_one(name, cfg, wl);
         println!(
             "{name}: digest={:016x} delivered={} data_tx={} control_tx={} collisions={} \
              out_of_range={} queue_drops={} latency_bits={:016x}",

@@ -6,23 +6,15 @@
 //! ```sh
 //! cargo run --release --example large_n                 # 10000 nodes, 5 s
 //! cargo run --release --example large_n -- 10000 2      # nodes, duration
-//! cargo run --release --example large_n -- 100000 1 4   # + parallel engine, 4 workers
-//! cargo run --release --example large_n -- 100000 1 4 4 # + shared 4-thread budget:
-//!                                                       #   sharded sweep x parallel engine
+//! cargo run --release --example large_n -- 100000 1     # the 100k-node smoke
 //! ```
 //!
 //! Used as the CI smoke for 10k/100k-node scale: it exercises the
 //! arena-backed deployment, the interned beacon snapshots and the
-//! incremental two-hop merges end to end — and, with a worker count,
-//! `EngineKind::Parallel` — and prints one row per medium. With a
-//! fourth argument it additionally runs the tier through a **sharded
-//! `Sweep` whose outer workers and inner engines draw from one shared
-//! `ThreadBudget`** (the oversubscription regression smoke): shards 0/2
-//! and 1/2 execute separately, merge, and must match the per-scenario
-//! runs bit for bit.
+//! incremental two-hop merges end to end, and prints one row per medium.
 
 use glr::epidemic::Epidemic;
-use glr::sim::{EngineKind, RunStats, Scenario, Sweep, SweepResults, ThreadBudget};
+use glr::sim::Scenario;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -34,27 +26,13 @@ fn main() {
         .next()
         .map(|a| a.parse().expect("duration must be a number"))
         .unwrap_or(5.0);
-    let workers: usize = args
-        .next()
-        .map(|a| a.parse().expect("worker count must be an integer"))
-        .unwrap_or(0);
-    let budget_total: Option<usize> = args
-        .next()
-        .map(|a| a.parse().expect("thread budget must be an integer"));
-    let engine = match workers {
-        0 | 1 => EngineKind::Serial,
-        k => EngineKind::Parallel(k),
-    };
 
-    println!("large-n tier: {n} nodes, {duration} s, epidemic routing, {engine} engine");
+    println!("large-n tier: {n} nodes, {duration} s, epidemic routing");
     println!(
         "  {:<28} | {:>9} | {:>9} | {:>10} | {:>10} | {:>8}",
         "scenario", "created", "delivered", "control tx", "data tx", "wall (s)"
     );
-    let mut tier = Scenario::large_n_tier(n, duration, 1);
-    let mut direct: Vec<RunStats> = Vec::new();
-    for scenario in &mut tier {
-        scenario.config.engine = engine;
+    for scenario in Scenario::large_n_tier(n, duration, 1) {
         let started = std::time::Instant::now();
         let stats = scenario.run(Epidemic::new);
         let wall = started.elapsed().as_secs_f64();
@@ -70,42 +48,5 @@ fn main() {
         // The tier must actually run beacons at scale; a silent zero here
         // would mean the smoke tests nothing.
         assert!(stats.control_tx > 0, "no beacons flowed at n={n}");
-        direct.push(stats);
     }
-
-    // Shared-budget mode: the same tier as a sharded sweep, outer
-    // (cell, run) workers and inner engine fan-out drawing from ONE
-    // ledger — the smoke that catches outer x inner oversubscription
-    // regressions, and (by comparing against the direct runs above)
-    // that neither the budget nor the shard split changes a bit.
-    let Some(total) = budget_total else { return };
-    let budget = ThreadBudget::total(total);
-    for scenario in &mut tier {
-        scenario.config.thread_budget = budget.clone();
-    }
-    let started = std::time::Instant::now();
-    let shards: Vec<SweepResults> = (0..2)
-        .map(|i| {
-            Sweep::new(1)
-                .with_threads(total)
-                .with_budget(budget.clone())
-                .with_shard(i, 2)
-                .execute(&tier, |sc, run| sc.run_nth(run, Epidemic::new))
-        })
-        .collect();
-    let merged = SweepResults::merge(shards);
-    assert!(merged.is_complete(tier.len()));
-    for (i, cell) in merged.cells().iter().enumerate() {
-        assert_eq!(
-            cell.runs[0], direct[i],
-            "budgeted sharded sweep diverged from the direct run of {}",
-            tier[i].label
-        );
-    }
-    println!(
-        "  sharded sweep x {engine} engine under one {total}-thread budget: \
-         {} cells bit-identical to the direct runs ({:.2} s wall)",
-        merged.cells().len(),
-        started.elapsed().as_secs_f64()
-    );
 }

@@ -40,6 +40,7 @@
 //! `crates/bench/src/bin/experiments.rs` for the harness regenerating
 //! every table and figure of the paper.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// The GLR protocol (the paper's contribution). Re-export of [`glr_core`].
