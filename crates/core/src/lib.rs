@@ -64,4 +64,4 @@ pub use protocol::Glr;
 pub use spanner::{
     face_next_hop, first_ccw_from_direction, spanner_neighbors, SpannerMode, SpannerScratch,
 };
-pub use storage::{CacheEntry, FaceState, MessageStore, PushOutcome, StoredMessage};
+pub use storage::{CacheEntry, FaceState, MessageStore, PushOutcome, RouteVerdict, StoredMessage};

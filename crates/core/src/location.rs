@@ -5,10 +5,17 @@
 //! contact), from destination-location fields carried in data packets, and
 //! from hop acknowledgements that piggy-back fresher estimates back to the
 //! message holder. "Fresher timestamp wins" everywhere.
+//!
+//! [`LocationTable`] is a hash map keyed with [`glr_sim::NodeIdHasher`], the
+//! multiply-xorshift hasher the neighbour tables use. The route check looks
+//! up every stored copy's destination, so SipHash was a measurable share of
+//! a check. A dense `Vec` indexed by node id would be cheaper still, but a
+//! node that learns of one far id would then hold O(n) memory, which does
+//! not scale to 100k-node runs.
 
 use glr_geometry::Point2;
-use glr_sim::{NodeId, SimTime};
-use std::collections::HashMap;
+use glr_sim::{NodeId, NodeMap, SimTime};
+use std::collections::hash_map::Entry;
 
 /// A position estimate with the time it was learned.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,7 +76,7 @@ impl LocationEstimate {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LocationTable {
-    entries: HashMap<NodeId, LocationEstimate>,
+    entries: NodeMap<LocationEstimate>,
 }
 
 impl LocationTable {
@@ -86,10 +93,14 @@ impl LocationTable {
         if est.guessed {
             return false;
         }
-        match self.entries.get(&node) {
-            Some(cur) if cur.at > est.at => false,
-            _ => {
-                self.entries.insert(node, est);
+        match self.entries.entry(node) {
+            Entry::Occupied(cur) if cur.get().at > est.at => false,
+            Entry::Occupied(mut cur) => {
+                cur.insert(est);
+                true
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(est);
                 true
             }
         }

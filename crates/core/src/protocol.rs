@@ -6,7 +6,7 @@ use crate::config::{GlrConfig, LocationMode};
 use crate::location::{LocationEstimate, LocationTable};
 use crate::packet::{DataPacket, GlrPacket};
 use crate::spanner::{face_next_hop, first_ccw_from_direction, SpannerScratch};
-use crate::storage::{FaceState, MessageStore, StoredMessage};
+use crate::storage::{FaceState, MessageStore, RouteVerdict, StoredMessage};
 use glr_geometry::{dstd_next_hop, DstdKind, Point2};
 use glr_sim::{Ctx, MessageInfo, NodeId, PacketKind, Protocol, SimConfig};
 use rand::Rng;
@@ -53,6 +53,11 @@ pub struct Glr {
     topology_changed: bool,
     /// Buffers the route check rebuilds the local spanner into.
     spanner: SpannerScratch,
+    /// Bit per destination id, all clear between calls: the dedupe set of
+    /// [`stuck_destinations`], kept to reuse its allocation. It only grows
+    /// on nodes that hold stuck copies, to the largest such destination id
+    /// (12.5 KiB at 100k nodes).
+    dst_bits: Vec<u64>,
 }
 
 impl Glr {
@@ -75,6 +80,7 @@ impl Glr {
             last_nbr_hash: 0,
             topology_changed: true,
             spanner: SpannerScratch::default(),
+            dst_bits: Vec::new(),
         }
     }
 
@@ -202,8 +208,11 @@ impl Glr {
         }
         self.topology_changed = hash != self.last_nbr_hash;
         self.last_nbr_hash = hash;
-        // Taken out of `self` for the pass so `route_one` can borrow the
-        // neighbours while mutating the node; put back at the end.
+        // The spanner buffers and the Store are taken out of `self` for the
+        // pass, so `route_one` can borrow the neighbours and the pass can
+        // walk the Store while the closure mutates the node; both are put
+        // back at the end (`route_one`, `transmit` and
+        // `perturb_destination` never touch `self.messages`).
         let mut scratch = std::mem::take(&mut self.spanner);
         let spanner = scratch.neighbors(
             my_pos,
@@ -213,15 +222,8 @@ impl Glr {
             self.cfg.k,
             self.cfg.spanner,
         );
-
-        // Once the link-layer queue fills, further send attempts this pass
-        // are pointless churn: hold the remaining messages untouched.
-        let mut link_saturated = false;
-        for mut msg in self.messages.drain_store() {
-            if link_saturated {
-                self.messages.push(msg);
-                continue;
-            }
+        let mut messages = std::mem::take(&mut self.messages);
+        messages.route_store(|msg| {
             // Oracle mode refreshes the estimate at every hop/check.
             if self.cfg.location_mode == LocationMode::AllKnow {
                 msg.dest_est = LocationEstimate::new(ctx.true_pos(msg.info.dst), now);
@@ -229,26 +231,28 @@ impl Glr {
                 msg.dest_est = fresher;
             }
 
-            match self.route_one(ctx, my_pos, spanner, &all_contacts, &mut msg) {
+            match self.route_one(ctx, my_pos, spanner, &all_contacts, msg) {
                 Some(next) => {
-                    let sent = self.transmit(ctx, next, &msg);
-                    if sent {
-                        if self.cfg.custody {
-                            // The acknowledgement cannot arrive before the
-                            // frames already queued ahead have drained, so
-                            // the custody timeout starts after the
-                            // (locally-known) queue backlog.
-                            let backlog = ctx.tx_queue_len() as f64
-                                * ctx.config().tx_time(msg.info.size + 32);
-                            let expires = now + self.cfg.cache_timeout + backlog;
-                            self.messages.to_cache(msg, next, expires);
-                        }
-                        // Without custody the copy is forgotten on send.
-                    } else {
-                        // Queue full: keep it (and everything after it)
+                    if !self.transmit(ctx, next, msg) {
+                        // The link-layer queue is full: further send
+                        // attempts this pass are pointless churn, so this
+                        // copy and every one behind it wait, untouched,
                         // for the next check.
-                        link_saturated = true;
-                        self.messages.push(msg);
+                        return RouteVerdict::Halt;
+                    }
+                    if !self.cfg.custody {
+                        // Without custody the copy is forgotten on send.
+                        return RouteVerdict::Forget;
+                    }
+                    // The acknowledgement cannot arrive before the frames
+                    // already queued ahead have drained, so the custody
+                    // timeout starts after the (locally-known) queue
+                    // backlog.
+                    let backlog =
+                        ctx.tx_queue_len() as f64 * ctx.config().tx_time(msg.info.size + 32);
+                    RouteVerdict::Sent {
+                        to: next,
+                        expires: now + self.cfg.cache_timeout + backlog,
                     }
                 }
                 None => {
@@ -271,12 +275,13 @@ impl Glr {
                     let threshold = base << msg.perturbations.min(4);
                     if msg.stuck_checks >= threshold {
                         ctx.count_event("glr.perturb");
-                        self.perturb_destination(ctx, &mut msg);
+                        self.perturb_destination(ctx, msg);
                     }
-                    self.messages.push(msg);
+                    RouteVerdict::Keep
                 }
             }
-        }
+        });
+        self.messages = messages;
         self.spanner = scratch;
     }
 
@@ -373,12 +378,7 @@ impl Glr {
         if one_hop.is_empty() {
             return;
         }
-        let mut entries: Vec<(NodeId, LocationEstimate)> = Vec::new();
-        for m in self.messages.iter_store() {
-            if m.stuck_checks >= 1 && !entries.iter().any(|&(d, _)| d == m.info.dst) {
-                entries.push((m.info.dst, m.dest_est));
-            }
-        }
+        let entries = stuck_destinations(&self.messages, &mut self.dst_bits);
         if entries.is_empty() {
             return;
         }
@@ -474,6 +474,33 @@ impl Glr {
         }
         self.ensure_timer(ctx);
     }
+}
+
+/// The destinations of the Store's stuck copies (`stuck_checks >= 1`), each
+/// once, with the estimate of its first stuck copy, in first-occurrence
+/// order. `bits` is a destination-id bit set, all clear on entry and on
+/// return: it grows to the largest id seen and only the bits set here are
+/// cleared, so a call costs O(store), not O(store × entries).
+fn stuck_destinations(
+    messages: &MessageStore,
+    bits: &mut Vec<u64>,
+) -> Vec<(NodeId, LocationEstimate)> {
+    let mut entries = Vec::new();
+    for m in messages.iter_store().filter(|m| m.stuck_checks >= 1) {
+        let i = m.info.dst.index();
+        if i / 64 >= bits.len() {
+            bits.resize(i / 64 + 1, 0);
+        }
+        let bit = 1u64 << (i % 64);
+        if bits[i / 64] & bit == 0 {
+            bits[i / 64] |= bit;
+            entries.push((m.info.dst, m.dest_est));
+        }
+    }
+    for (dst, _) in &entries {
+        bits[dst.index() / 64] &= !(1u64 << (dst.index() % 64));
+    }
+    entries
 }
 
 impl Protocol for Glr {
@@ -578,6 +605,54 @@ mod tests {
         c.n_nodes = 10;
         c.region = Region::new(150.0, 150.0);
         c
+    }
+
+    #[test]
+    fn stuck_destinations_dedupes_in_first_occurrence_order() {
+        use glr_geometry::Point2;
+        use glr_sim::{MessageId, SimTime};
+        let stored = |seq: u32, dst: u32, stuck: u32| {
+            let info = MessageInfo {
+                id: MessageId {
+                    src: NodeId(0),
+                    seq,
+                },
+                dst: NodeId(dst),
+                size: 1000,
+                created: SimTime::ZERO,
+            };
+            let est = LocationEstimate::new(Point2::new(seq as f64, 0.0), SimTime::ZERO);
+            let mut m = StoredMessage::new(info, DstdKind::Max, 0, est);
+            m.stuck_checks = stuck;
+            m
+        };
+        let mut store = MessageStore::new(None);
+        // (seq, dst, stuck_checks): dst 7 first occurs unstuck (seq 0), so
+        // its entry comes from seq 4; ids straddle several 64-bit words.
+        for (seq, dst, stuck) in [
+            (0, 7, 0),
+            (1, 200, 1),
+            (2, 65, 2),
+            (3, 200, 1),
+            (4, 7, 1),
+            (5, 64, 1),
+            (6, 65, 1),
+        ] {
+            store.push(stored(seq, dst, stuck));
+        }
+        let mut bits = Vec::new();
+        let want: Vec<(NodeId, f64)> = [(200, 1.0), (65, 2.0), (7, 4.0), (64, 5.0)]
+            .map(|(d, x)| (NodeId(d), x))
+            .to_vec();
+        for _ in 0..3 {
+            let got: Vec<(NodeId, f64)> = stuck_destinations(&store, &mut bits)
+                .into_iter()
+                .map(|(d, est)| (d, est.pos.x))
+                .collect();
+            assert_eq!(got, want);
+            assert!(bits.iter().all(|&w| w == 0), "bits cleared after a call");
+        }
+        assert_eq!(bits.len(), 4, "sized to the largest id seen");
     }
 
     #[test]

@@ -6,6 +6,20 @@
 //! moves back to the Store after a timeout for another round of transfer
 //! scheduling. Under storage pressure, Cache entries are dropped first
 //! (they have at least been transmitted once).
+//!
+//! A route check walks the Store in place with
+//! [`MessageStore::route_store`]: each copy gets a [`RouteVerdict`] from the
+//! caller and stays, moves to the Cache, or leaves. The pass costs
+//! O(copies examined); a [`RouteVerdict::Halt`] (the link queue is full)
+//! ends it without touching the copies behind. Its contract:
+//!
+//! - **Order.** Afterwards the Store holds the kept copies in their old
+//!   order, then the halting copy, then every copy after it in its old
+//!   order. That is the order draining the Store and pushing unsent copies
+//!   back one at a time would give.
+//! - **No eviction.** The pass never evicts: every copy it keeps was
+//!   already counted against the limit, and a sent copy only moves to the
+//!   Cache, so the total never grows.
 
 use crate::location::LocationEstimate;
 use glr_geometry::DstdKind;
@@ -101,6 +115,27 @@ pub struct PushOutcome {
     pub stored: bool,
     /// Number of older messages evicted to make room.
     pub evicted: usize,
+}
+
+/// What a routing pass decided for one Store copy
+/// (see [`MessageStore::route_store`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RouteVerdict {
+    /// Not sent: the copy stays in the Store.
+    Keep,
+    /// Sent with custody: the copy moves to the Cache to await `to`'s
+    /// acknowledgement until `expires`.
+    Sent {
+        /// The next hop it was sent to.
+        to: NodeId,
+        /// When to give up waiting for the acknowledgement.
+        expires: SimTime,
+    },
+    /// Sent without custody: the copy is forgotten.
+    Forget,
+    /// The link queue is full: this copy and every copy after it stay in
+    /// the Store untouched, and the pass ends.
+    Halt,
 }
 
 /// The Store + Cache pair with the paper's eviction policy.
@@ -199,6 +234,45 @@ impl MessageStore {
     /// [`MessageStore::push`] — room is guaranteed since they just left).
     pub fn drain_store(&mut self) -> Vec<StoredMessage> {
         self.store.drain(..).collect()
+    }
+
+    /// One routing pass over the Store, in place.
+    ///
+    /// Hands each copy, front to back, to `decide`, which may update it and
+    /// returns what became of it. Kept copies are compacted in order; a
+    /// [`RouteVerdict::Halt`] keeps that copy and every later one in order
+    /// and ends the pass, so those later copies are never visited. Nothing
+    /// is evicted (see the module docs).
+    pub fn route_store(&mut self, mut decide: impl FnMut(&mut StoredMessage) -> RouteVerdict) {
+        // `store[..kept]` holds the kept copies; `store[kept..next]` is the
+        // gap left by the ones that went.
+        let mut kept = 0;
+        let mut next = 0;
+        while next < self.store.len() {
+            match decide(&mut self.store[next]) {
+                RouteVerdict::Keep => {
+                    self.store[kept] = self.store[next];
+                    kept += 1;
+                }
+                RouteVerdict::Sent { to, expires } => {
+                    self.to_cache(self.store[next], to, expires);
+                }
+                RouteVerdict::Forget => {}
+                RouteVerdict::Halt => {
+                    // Close the gap from the front: shift the kept prefix
+                    // (copies already examined) right and drop the slots
+                    // it vacates, so the unvisited tail is not moved.
+                    let gap = next - kept;
+                    for i in (0..kept).rev() {
+                        self.store[i + gap] = self.store[i];
+                    }
+                    self.store.drain(..gap);
+                    return;
+                }
+            }
+            next += 1;
+        }
+        self.store.truncate(kept);
     }
 
     /// Moves a sent copy into the Cache pending acknowledgement.
@@ -310,6 +384,34 @@ mod tests {
         let drained = s.drain_store();
         assert_eq!(drained.len(), 2);
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn route_store_at_the_limit_never_evicts() {
+        // Full store: a push would evict, the routing pass must not.
+        let mut s = MessageStore::new(Some(4));
+        s.to_cache(msg(0, 0), NodeId(1), SimTime::from_secs(99.0));
+        for seq in 1..4 {
+            s.push(msg(seq, 0));
+        }
+        let mut seen = Vec::new();
+        s.route_store(|m| {
+            seen.push(m.info.id.seq);
+            match m.info.id.seq {
+                1 => RouteVerdict::Keep,
+                2 => RouteVerdict::Sent {
+                    to: NodeId(3),
+                    expires: SimTime::from_secs(5.0),
+                },
+                _ => RouteVerdict::Halt,
+            }
+        });
+        assert_eq!(seen, [1, 2, 3]);
+        assert_eq!(s.total(), 4, "nothing evicted or lost");
+        assert_eq!(s.cache_len(), 2);
+        assert!(s.contains(msg(0, 0).info.id, 0), "old cache entry kept");
+        let order: Vec<u32> = s.iter_store().map(|m| m.info.id.seq).collect();
+        assert_eq!(order, [1, 3]);
     }
 
     #[test]

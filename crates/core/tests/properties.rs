@@ -1,10 +1,14 @@
 //! Property-based tests for GLR's storage, location and decision logic.
 
-use glr_core::{CopyPolicy, LocationEstimate, LocationTable, MessageStore, StoredMessage};
+use glr_core::{
+    CacheEntry, CopyPolicy, LocationEstimate, LocationTable, MessageStore, RouteVerdict,
+    StoredMessage,
+};
 use glr_geometry::{DstdKind, Point2};
 use glr_mobility::Region;
 use glr_sim::{MessageId, MessageInfo, NodeId, SimTime};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn msg(seq: u32, tag: u8) -> StoredMessage {
     StoredMessage::new(
@@ -23,8 +27,143 @@ fn msg(seq: u32, tag: u8) -> StoredMessage {
     )
 }
 
+/// The routing pass as a drain of the whole Store followed by a push back
+/// of every unsent copy, skipping the rest once the link saturates: the
+/// reference [`MessageStore::route_store`] must match. Returns the copies
+/// `push` evicted.
+fn drain_route_push(
+    s: &mut MessageStore,
+    mut decide: impl FnMut(&mut StoredMessage) -> RouteVerdict,
+) -> usize {
+    let mut evicted = 0;
+    let mut push_back = |s: &mut MessageStore, m: StoredMessage| {
+        let out = s.push(m);
+        assert!(out.stored, "a pushed-back copy was rejected");
+        evicted += out.evicted;
+    };
+    let mut link_saturated = false;
+    for mut m in s.drain_store() {
+        if link_saturated {
+            push_back(s, m);
+            continue;
+        }
+        match decide(&mut m) {
+            RouteVerdict::Keep => push_back(s, m),
+            RouteVerdict::Sent { to, expires } => s.to_cache(m, to, expires),
+            RouteVerdict::Forget => {}
+            RouteVerdict::Halt => {
+                link_saturated = true;
+                push_back(s, m);
+            }
+        }
+    }
+    evicted
+}
+
+/// The Store's copies in order, then the Cache's entries in order (read by
+/// expiring the whole Cache).
+fn contents(mut s: MessageStore) -> (Vec<StoredMessage>, Vec<CacheEntry>) {
+    let store = s.iter_store().copied().collect();
+    (store, s.take_expired(SimTime::from_secs(f64::MAX)))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn route_store_matches_drain_and_push_back(
+        kinds in prop::collection::vec(0u8..3, 1..301),
+        halt in (0u8..4, 0usize..300),
+        cached in 0usize..5,
+        custody in 0u8..2,
+        slack in 0usize..5,
+    ) {
+        let n = kinds.len();
+        let total = n + cached;
+        // `slack` 4 leaves the store unlimited; 0..=3 puts the limit at
+        // `total..total+3`, so a full store is covered.
+        let limit = (slack < 4).then_some(total + slack);
+        let mut s = MessageStore::new(limit);
+        for i in 0..cached {
+            s.to_cache(msg(10_000 + i as u32, 0), NodeId(1), SimTime::from_secs(i as f64));
+        }
+        for i in 0..n {
+            prop_assert_eq!(s.push(msg(i as u32, (i % 3) as u8)).evicted, 0);
+        }
+        // No halt, a halt at the first copy, at the last, or anywhere.
+        let halt_at = match halt.0 {
+            0 => None,
+            1 => Some(0),
+            2 => Some(n - 1),
+            _ => Some(halt.1 % n),
+        };
+        let decide = |m: &mut StoredMessage| {
+            let i = m.info.id.seq as usize;
+            // Every visited copy is updated, so the test also sees which
+            // copies were visited and that updates persist.
+            m.stuck_checks += 1;
+            if halt_at == Some(i) {
+                return RouteVerdict::Halt;
+            }
+            match kinds[i] {
+                0 => RouteVerdict::Keep,
+                _ if custody == 0 => RouteVerdict::Forget,
+                1 => RouteVerdict::Sent {
+                    to: NodeId(i as u32),
+                    expires: SimTime::from_secs(50.0 + i as f64),
+                },
+                _ => RouteVerdict::Sent {
+                    to: NodeId(2),
+                    expires: SimTime::from_secs(7.0),
+                },
+            }
+        };
+        let mut reference = s.clone();
+        prop_assert_eq!(drain_route_push(&mut reference, decide), 0, "reference evicted");
+        s.route_store(decide);
+        prop_assert_eq!(s.total(), reference.total());
+        prop_assert_eq!(s.store_len(), reference.store_len());
+        prop_assert!(s.total() <= total, "the pass grew the store");
+        prop_assert_eq!(contents(s), contents(reference));
+    }
+
+    #[test]
+    fn location_table_matches_hash_map_model(
+        ops in prop::collection::vec(
+            (0u8..4, 0u32..100_001, 0u32..8, 0u8..2, 0u32..40, 0u8..4),
+            1..200,
+        ),
+    ) {
+        let mut t = LocationTable::new();
+        let mut model: HashMap<NodeId, LocationEstimate> = HashMap::new();
+        for &(op, far, near, pick_far, at, guess) in &ops {
+            // Half the ops hit a few ids, so updates meet existing entries.
+            let node = NodeId(if pick_far == 1 { far } else { near });
+            let pos = Point2::new(far as f64, at as f64);
+            let at = SimTime::from_secs(at as f64);
+            let est = if guess == 0 {
+                LocationEstimate::guess(pos, at)
+            } else {
+                LocationEstimate::new(pos, at)
+            };
+            match op {
+                0 | 1 => {
+                    let want = !est.guessed && model.get(&node).is_none_or(|cur| cur.at <= est.at);
+                    if want {
+                        model.insert(node, est);
+                    }
+                    prop_assert_eq!(t.update(node, est), want);
+                }
+                2 => prop_assert_eq!(t.get(node), model.get(&node).copied()),
+                _ => prop_assert_eq!(
+                    t.fresher_for(node, &est),
+                    model.get(&node).copied().filter(|m| m.at > est.at)
+                ),
+            }
+            prop_assert_eq!(t.len(), model.len());
+            prop_assert_eq!(t.is_empty(), model.is_empty());
+        }
+    }
 
     #[test]
     fn store_never_exceeds_limit(limit in 1usize..20, ops in prop::collection::vec((0u32..50, 0u8..3), 1..80)) {

@@ -1,7 +1,9 @@
 //! Node and message identifiers.
 
 use crate::time::SimTime;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 
 /// A node identifier: index into the deployment, `0..n_nodes`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -57,6 +59,53 @@ pub struct MessageInfo {
     /// Creation time.
     pub created: SimTime,
 }
+
+/// Multiply-xorshift hasher for [`NodeId`] keys on hot paths (neighbour
+/// tables, GLR location tables).
+///
+/// Node ids are small dense integers from a trusted source, so SipHash's
+/// DoS resistance buys nothing here and costs most of a lookup's budget.
+/// Iteration order of the maps this backs is never observable (outputs are
+/// sorted or keyed), so the hasher choice cannot affect results.
+///
+/// `write_u32` *replaces* the state instead of mixing into it, so the
+/// hasher is only valid for keys that hash as a single `u32` (such as
+/// [`NodeId`]). A composite key would keep only its last `u32` field and
+/// collide on all the others.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct NodeIdHasher(u64);
+
+impl Hasher for NodeIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+        self.0 ^= self.0 >> 32;
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        let h = u64::from(v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+/// Builds [`NodeIdHasher`]s; the `S` parameter of a [`NodeMap`].
+#[derive(Debug, Default, Clone, Copy)]
+pub struct BuildNodeIdHasher;
+
+impl BuildHasher for BuildNodeIdHasher {
+    type Hasher = NodeIdHasher;
+    fn build_hasher(&self) -> NodeIdHasher {
+        NodeIdHasher(0)
+    }
+}
+
+/// A `NodeId`-keyed hash map with the cheap [`NodeIdHasher`].
+pub type NodeMap<V> = HashMap<NodeId, V, BuildNodeIdHasher>;
 
 #[cfg(test)]
 mod tests {

@@ -42,53 +42,11 @@
 //!    expired for every receiver too — so keeping only the latest
 //!    snapshot per sender loses nothing a fresh query could see.
 
-use crate::ids::NodeId;
+use crate::ids::{NodeId, NodeMap};
 use crate::time::SimTime;
 use glr_geometry::Point2;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
-
-/// Multiply-xorshift hasher for [`NodeId`] keys on the beacon hot path.
-///
-/// Node ids are small dense integers from a trusted source, so SipHash's
-/// DoS resistance buys nothing here and costs most of a
-/// `record_beacon`'s budget. Iteration order of the maps this backs is
-/// never observable (outputs are sorted or keyed), so the hasher choice
-/// cannot affect results.
-#[derive(Debug, Default, Clone, Copy)]
-struct NodeIdHasher(u64);
-
-impl Hasher for NodeIdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-        self.0 ^= self.0 >> 32;
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        let h = u64::from(v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-}
-
-#[derive(Debug, Default, Clone, Copy)]
-struct BuildNodeIdHasher;
-
-impl BuildHasher for BuildNodeIdHasher {
-    type Hasher = NodeIdHasher;
-    fn build_hasher(&self) -> NodeIdHasher {
-        NodeIdHasher(0)
-    }
-}
-
-/// A `NodeId`-keyed hash map with the cheap hasher above.
-type NodeMap<V> = HashMap<NodeId, V, BuildNodeIdHasher>;
 
 /// A neighbour-table entry: where a node was when we last heard it.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -6,6 +6,16 @@
 //! ```sh
 //! cargo run --release --example fingerprint
 //! ```
+//!
+//! `examples/fingerprint.expected` holds the expected `name: digest=…`
+//! pairs, and CI diffs them against this example's output:
+//!
+//! ```sh
+//! cargo run --release --example fingerprint \
+//!     | grep -o '^[a-z0-9-]*: digest=[0-9a-f]*' | diff examples/fingerprint.expected -
+//! ```
+//!
+//! A change that alters results on purpose updates that file.
 
 use glr::core::{Glr, GlrConfig};
 use glr::epidemic::Epidemic;
