@@ -6,12 +6,12 @@
 //! from hop acknowledgements that piggy-back fresher estimates back to the
 //! message holder. "Fresher timestamp wins" everywhere.
 //!
-//! [`LocationTable`] is a hash map keyed with [`glr_sim::NodeIdHasher`], the
-//! multiply-xorshift hasher the neighbour tables use. The route check looks
-//! up every stored copy's destination, so SipHash was a measurable share of
-//! a check. A dense `Vec` indexed by node id would be cheaper still, but a
-//! node that learns of one far id would then hold O(n) memory, which does
-//! not scale to 100k-node runs.
+//! [`LocationTable`] is a [`glr_sim::NodeMap`], keyed with
+//! [`glr_sim::IdHasher`], the multiplicative id hasher the neighbour tables
+//! use. The route check looks up every stored copy's destination, so SipHash
+//! was a measurable share of a check. A dense `Vec` indexed by node id would
+//! be cheaper still, but a node that learns of one far id would then hold
+//! O(n) memory, which does not scale to 100k-node runs.
 
 use glr_geometry::Point2;
 use glr_sim::{NodeId, NodeMap, SimTime};

@@ -8,8 +8,11 @@ use crate::packet::{DataPacket, GlrPacket};
 use crate::spanner::{face_next_hop, first_ccw_from_direction, SpannerScratch};
 use crate::storage::{FaceState, MessageStore, RouteVerdict, StoredMessage};
 use glr_geometry::{dstd_next_hop, DstdKind, Point2};
-use glr_sim::{Ctx, MessageInfo, NodeId, PacketKind, Protocol, SimConfig};
+use glr_sim::{
+    BuildIdHasher, Ctx, MessageId, MessageInfo, NodeId, PacketKind, Protocol, SimConfig, SimTime,
+};
 use rand::Rng;
+use std::collections::HashMap;
 
 /// Timer token for the periodic route check.
 const ROUTE_CHECK: u64 = 1;
@@ -45,7 +48,7 @@ pub struct Glr {
     /// another copy into the network. A frame with a different sender or
     /// hop count is a legitimate revisit (the destination estimate moved)
     /// and is admitted normally.
-    seen: std::collections::HashMap<(glr_sim::MessageId, u8), (NodeId, u32, glr_sim::SimTime)>,
+    seen: HashMap<(MessageId, u8), (NodeId, u32, SimTime), BuildIdHasher>,
     /// Hash of the fresh one-hop neighbour set at the previous route check.
     last_nbr_hash: u64,
     /// Whether the neighbourhood changed since the previous check (set at
@@ -127,7 +130,7 @@ impl Glr {
                 let region = ctx.config().region;
                 let x = ctx.rng().random_range(0.0..=region.width());
                 let y = ctx.rng().random_range(0.0..=region.height());
-                LocationEstimate::new(Point2::new(x, y), glr_sim::SimTime::ZERO)
+                LocationEstimate::new(Point2::new(x, y), SimTime::ZERO)
             }
         }
     }

@@ -2,8 +2,8 @@
 //! policy ("old messages are dropped when new messages come in", paper
 //! §3.6).
 
-use glr_sim::{MessageId, MessageInfo};
-use std::collections::{HashSet, VecDeque};
+use glr_sim::{MessageId, MessageInfo, MessageSet};
+use std::collections::VecDeque;
 
 /// A message held by an epidemic node.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,7 +42,7 @@ pub struct BufferedMessage {
 #[derive(Debug, Clone, Default)]
 pub struct FifoBuffer {
     queue: VecDeque<BufferedMessage>,
-    ids: HashSet<MessageId>,
+    ids: MessageSet,
     capacity: Option<usize>,
 }
 
@@ -51,7 +51,7 @@ impl FifoBuffer {
     pub fn new(capacity: Option<usize>) -> Self {
         FifoBuffer {
             queue: VecDeque::new(),
-            ids: HashSet::new(),
+            ids: MessageSet::default(),
             capacity,
         }
     }
@@ -93,27 +93,9 @@ impl FifoBuffer {
         evicted
     }
 
-    /// Removes a message by id, returning it if present.
-    pub fn remove(&mut self, id: MessageId) -> Option<BufferedMessage> {
-        if !self.ids.remove(&id) {
-            return None;
-        }
-        let pos = self
-            .queue
-            .iter()
-            .position(|m| m.info.id == id)
-            .expect("id set and queue in sync");
-        self.queue.remove(pos)
-    }
-
     /// The buffered message ids, oldest first (the *summary vector*).
     pub fn summary_vector(&self) -> Vec<MessageId> {
         self.queue.iter().map(|m| m.info.id).collect()
-    }
-
-    /// Iterates over buffered messages, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &BufferedMessage> {
-        self.queue.iter()
     }
 
     /// Looks up a buffered message by id.
@@ -175,21 +157,6 @@ mod tests {
             b.summary_vector().iter().map(|i| i.seq).collect::<Vec<_>>(),
             vec![2, 3, 4]
         );
-    }
-
-    #[test]
-    fn remove_keeps_sync() {
-        let mut b = FifoBuffer::new(None);
-        b.insert(msg(0, 0));
-        b.insert(msg(0, 1));
-        let r = b.remove(msg(0, 0).info.id).unwrap();
-        assert_eq!(r.info.id.seq, 0);
-        assert!(!b.contains(r.info.id));
-        assert_eq!(b.len(), 1);
-        assert!(b.remove(r.info.id).is_none());
-        // Re-insert after removal works.
-        assert!(b.insert(msg(0, 0)).is_none());
-        assert_eq!(b.len(), 2);
     }
 
     #[test]

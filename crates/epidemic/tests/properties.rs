@@ -3,6 +3,7 @@
 use glr_epidemic::{BufferedMessage, FifoBuffer};
 use glr_sim::{MessageId, MessageInfo, NodeId, SimTime};
 use proptest::prelude::*;
+use std::collections::{HashSet, VecDeque};
 
 fn msg(src: u32, seq: u32) -> BufferedMessage {
     BufferedMessage {
@@ -43,7 +44,7 @@ proptest! {
             prop_assert!(b.contains(*id));
         }
         // No duplicates in the summary vector.
-        let set: std::collections::HashSet<_> = sv.iter().collect();
+        let set: HashSet<_> = sv.iter().collect();
         prop_assert_eq!(set.len(), sv.len());
     }
 
@@ -66,19 +67,63 @@ proptest! {
     }
 
     #[test]
-    fn remove_then_reinsert_roundtrips(seqs in prop::collection::vec(0u32..20, 1..20)) {
-        let mut b = FifoBuffer::new(None);
-        for &s in &seqs {
-            b.insert(msg(1, s));
-        }
-        let unique: std::collections::HashSet<_> = seqs.iter().collect();
-        prop_assert_eq!(b.len(), unique.len());
-        for &s in unique.iter() {
-            let id = msg(1, *s).info.id;
-            prop_assert!(b.remove(id).is_some());
-            prop_assert!(!b.contains(id));
-            prop_assert!(b.insert(msg(1, *s)).is_none());
-            prop_assert!(b.contains(id));
+    fn buffer_matches_vecdeque_model(
+        cap_kind in 0u8..4,
+        k in 2usize..12,
+        ops in prop::collection::vec((0u8..5, 0u32..4, 0u32..10, 0u32..50), 0..150),
+    ) {
+        let capacity = match cap_kind {
+            0 => None,
+            1 => Some(0),
+            2 => Some(1),
+            _ => Some(k),
+        };
+        let mut b = FifoBuffer::new(capacity);
+        let mut queue: VecDeque<BufferedMessage> = VecDeque::new();
+        let mut ids: HashSet<MessageId> = HashSet::new();
+        for &(op, src, seq, hops) in &ops {
+            let mut m = msg(src, seq);
+            m.hops = hops;
+            match op {
+                // Insert (ids repeat often in this small space).
+                0 | 1 => {
+                    let want = if ids.contains(&m.info.id) {
+                        None
+                    } else if capacity == Some(0) {
+                        Some(m)
+                    } else {
+                        let evicted = if capacity.is_some_and(|c| queue.len() >= c) {
+                            let old = queue.pop_front().unwrap();
+                            ids.remove(&old.info.id);
+                            Some(old)
+                        } else {
+                            None
+                        };
+                        ids.insert(m.info.id);
+                        queue.push_back(m);
+                        evicted
+                    };
+                    prop_assert_eq!(b.insert(m), want);
+                }
+                // Re-insert a buffered id with new hops: ignored.
+                2 => {
+                    if let Some(held) = queue.get(seq as usize % queue.len().max(1)) {
+                        let dup = BufferedMessage { hops: hops + 1000, ..*held };
+                        prop_assert_eq!(b.insert(dup), None);
+                    }
+                }
+                3 => prop_assert_eq!(b.contains(m.info.id), ids.contains(&m.info.id)),
+                _ => prop_assert_eq!(
+                    b.get(m.info.id),
+                    queue.iter().find(|q| q.info.id == m.info.id)
+                ),
+            }
+            prop_assert_eq!(b.len(), queue.len());
+            prop_assert_eq!(b.is_empty(), queue.is_empty());
+            prop_assert_eq!(
+                b.summary_vector(),
+                queue.iter().map(|q| q.info.id).collect::<Vec<_>>()
+            );
         }
     }
 }

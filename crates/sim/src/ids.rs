@@ -1,7 +1,7 @@
 //! Node and message identifiers.
 
 use crate::time::SimTime;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasher, Hasher};
 
@@ -60,52 +60,76 @@ pub struct MessageInfo {
     pub created: SimTime,
 }
 
-/// Multiply-xorshift hasher for [`NodeId`] keys on hot paths (neighbour
-/// tables, GLR location tables).
+/// Multiplicative hasher for id keys on hot paths: [`NodeId`] in neighbour
+/// and GLR location tables, [`MessageId`] in epidemic buffers, GLR's
+/// duplicate filter and the per-message statistics index.
 ///
-/// Node ids are small dense integers from a trusted source, so SipHash's
-/// DoS resistance buys nothing here and costs most of a lookup's budget.
+/// Ids are small integers from a trusted source, so SipHash's DoS
+/// resistance buys nothing here and costs most of a lookup's budget.
 /// Iteration order of the maps this backs is never observable (outputs are
 /// sorted or keyed), so the hasher choice cannot affect results.
 ///
-/// `write_u32` *replaces* the state instead of mixing into it, so the
-/// hasher is only valid for keys that hash as a single `u32` (such as
-/// [`NodeId`]). A composite key would keep only its last `u32` field and
-/// collide on all the others.
+/// Every write folds into the state (`state = (state.rotate_left(5) ^
+/// word) * K`), so composite keys such as [`MessageId`] or `(MessageId,
+/// u8)` depend on every field; `finish` folds the high half into the low
+/// half, which picks the bucket. A single `u32` key therefore hashes to
+/// `h ^ (h >> 32)` with `h = v * K`.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct NodeIdHasher(u64);
+pub struct IdHasher(u64);
 
-impl Hasher for NodeIdHasher {
+/// The odd multiplier of [`IdHasher`] (2^64 / φ).
+const K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl IdHasher {
+    #[inline]
+    fn fold(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(K);
+    }
+}
+
+impl Hasher for IdHasher {
+    #[inline]
     fn finish(&self) -> u64 {
-        self.0
+        self.0 ^ (self.0 >> 32)
     }
 
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            self.fold(u64::from(b));
         }
-        self.0 ^= self.0 >> 32;
     }
 
+    #[inline]
+    fn write_u8(&mut self, v: u8) {
+        self.fold(u64::from(v));
+    }
+
+    #[inline]
     fn write_u32(&mut self, v: u32) {
-        let h = u64::from(v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
+        self.fold(u64::from(v));
     }
 }
 
-/// Builds [`NodeIdHasher`]s; the `S` parameter of a [`NodeMap`].
+/// Builds [`IdHasher`]s; the `S` parameter of [`NodeMap`], [`MessageSet`]
+/// and [`MessageMap`].
 #[derive(Debug, Default, Clone, Copy)]
-pub struct BuildNodeIdHasher;
+pub struct BuildIdHasher;
 
-impl BuildHasher for BuildNodeIdHasher {
-    type Hasher = NodeIdHasher;
-    fn build_hasher(&self) -> NodeIdHasher {
-        NodeIdHasher(0)
+impl BuildHasher for BuildIdHasher {
+    type Hasher = IdHasher;
+    fn build_hasher(&self) -> IdHasher {
+        IdHasher(0)
     }
 }
 
-/// A `NodeId`-keyed hash map with the cheap [`NodeIdHasher`].
-pub type NodeMap<V> = HashMap<NodeId, V, BuildNodeIdHasher>;
+/// A `NodeId`-keyed hash map with the cheap [`IdHasher`].
+pub type NodeMap<V> = HashMap<NodeId, V, BuildIdHasher>;
+
+/// A set of message ids with the cheap [`IdHasher`].
+pub type MessageSet = HashSet<MessageId, BuildIdHasher>;
+
+/// A `MessageId`-keyed hash map with the cheap [`IdHasher`].
+pub type MessageMap<V> = HashMap<MessageId, V, BuildIdHasher>;
 
 #[cfg(test)]
 mod tests {
@@ -123,7 +147,6 @@ mod tests {
 
     #[test]
     fn ids_are_ordered_and_hashable() {
-        use std::collections::HashSet;
         let a = MessageId {
             src: NodeId(1),
             seq: 2,
@@ -135,5 +158,51 @@ mod tests {
         assert!(a < b);
         let set: HashSet<MessageId> = [a, b, a].into_iter().collect();
         assert_eq!(set.len(), 2);
+    }
+
+    fn hash_of<T: std::hash::Hash>(key: &T) -> u64 {
+        BuildIdHasher.hash_one(key)
+    }
+
+    fn mid(src: u32, seq: u32) -> MessageId {
+        MessageId {
+            src: NodeId(src),
+            seq,
+        }
+    }
+
+    #[test]
+    fn node_id_hash_is_pinned() {
+        // The single-`u32` multiply-xorshift values `NodeMap` has always
+        // used: h = v * K, h ^ (h >> 32).
+        for (v, want) in [
+            (0u32, 0u64),
+            (1, 0x9e37_79b9_e17d_05ac),
+            (2, 0x3c6e_f372_c2fa_0b58),
+            (49, 0x489e_4c81_15df_8c84),
+            (99_999, 0xc7e5_3221_4fae_3d2a),
+            (u32::MAX, 0xe113_025b_61a6_81b0),
+        ] {
+            assert_eq!(hash_of(&NodeId(v)), want, "NodeId({v})");
+            let h = u64::from(v).wrapping_mul(K);
+            assert_eq!(want, h ^ (h >> 32), "formula for {v}");
+        }
+    }
+
+    #[test]
+    fn message_ids_differing_only_in_src_hash_differently() {
+        for seq in [0, 1, 17, u32::MAX] {
+            let hashes: HashSet<u64> = (0..64).map(|src| hash_of(&mid(src, seq))).collect();
+            assert_eq!(hashes.len(), 64, "seq {seq}");
+        }
+        assert_ne!(hash_of(&mid(0, 5)), hash_of(&mid(5, 0)));
+    }
+
+    #[test]
+    fn tagged_keys_differing_only_in_tag_hash_differently() {
+        let id = mid(3, 9);
+        let hashes: HashSet<u64> = (0..=u8::MAX).map(|tag| hash_of(&(id, tag))).collect();
+        assert_eq!(hashes.len(), 256);
+        assert_ne!(hash_of(&(id, 0u8)), hash_of(&id));
     }
 }

@@ -142,7 +142,9 @@ mod workload;
 pub mod world;
 
 pub use config::SimConfig;
-pub use ids::{BuildNodeIdHasher, MessageId, MessageInfo, NodeId, NodeIdHasher, NodeMap};
+pub use ids::{
+    BuildIdHasher, IdHasher, MessageId, MessageInfo, MessageMap, MessageSet, NodeId, NodeMap,
+};
 pub use medium::{
     ContentionMedium, DutyCycledMedium, Frame, IdealMedium, Medium, PacketKind, QueueFull,
     ShadowingMedium, ShadowingParams, TxResolution, DUTY_SLEEP_DROP, SHADOWING_FADE_LOSS,

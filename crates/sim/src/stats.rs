@@ -4,7 +4,7 @@
 //! confidence interval; [`summarize`] reproduces that (Student t with
 //! `runs - 1` degrees of freedom).
 
-use crate::ids::{MessageId, NodeId};
+use crate::ids::{MessageId, MessageMap, NodeId};
 use crate::time::SimTime;
 use std::collections::HashMap;
 
@@ -33,7 +33,7 @@ pub struct MessageRecord {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
     records: Vec<MessageRecord>,
-    index: HashMap<MessageId, usize>,
+    index: MessageMap<usize>,
     /// Data frames successfully delivered at the link layer.
     pub data_tx: u64,
     /// Control frames (acks, summary vectors, beacons) delivered.

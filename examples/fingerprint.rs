@@ -70,18 +70,21 @@ fn run_one(name: &str, cfg: SimConfig, wl: Workload) -> RunStats {
 }
 
 fn main() {
-    for (name, range, seed) in [
-        ("glr-100m", 100.0, 1u64),
-        ("glr-250m", 250.0, 7),
-        ("epidemic-100m", 100.0, 3),
-        ("epidemic-50m", 50.0, 11),
+    // The last row caps every epidemic buffer, so FIFO eviction runs.
+    for (name, range, seed, storage_limit) in [
+        ("glr-100m", 100.0, 1u64, None),
+        ("glr-250m", 250.0, 7, None),
+        ("epidemic-100m", 100.0, 3, None),
+        ("epidemic-50m", 50.0, 11, None),
+        ("epidemic-250m-fifo", 250.0, 5, Some(8)),
     ] {
-        let cfg = SimConfig::paper(range, seed).with_duration(400.0);
+        let mut cfg = SimConfig::paper(range, seed).with_duration(400.0);
+        cfg.storage_limit = storage_limit;
         let wl = Workload::paper_style(cfg.n_nodes, 60, 1000);
         let stats = run_one(name, cfg, wl);
         println!(
             "{name}: digest={:016x} delivered={} data_tx={} control_tx={} collisions={} \
-             out_of_range={} queue_drops={} latency_bits={:016x}",
+             out_of_range={} queue_drops={} storage_drops={} latency_bits={:016x}",
             digest(&stats),
             stats.messages_delivered(),
             stats.data_tx,
@@ -89,6 +92,7 @@ fn main() {
             stats.collisions,
             stats.out_of_range,
             stats.queue_drops,
+            stats.storage_drops,
             stats.avg_latency().map_or(0, f64::to_bits),
         );
     }
