@@ -16,7 +16,7 @@
 //! ```
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use glr_mobility::{DeploymentArena, MobilityModel, RandomWaypoint, Region};
+use glr_mobility::{DeploymentArena, RandomWaypoint, Region};
 use glr_sim::{Ctx, MessageInfo, NodeId, Protocol, SimConfig, Simulation, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

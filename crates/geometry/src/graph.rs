@@ -1,13 +1,15 @@
 //! Undirected graphs over indexed point sets.
 //!
 //! The routing stack manipulates several geometric graphs (unit-disk graph,
-//! local Delaunay triangulation, Gabriel graph, …) that all share the same
-//! vertex set: the node indices of a deployment. [`Graph`] is a simple
-//! adjacency-list representation with the traversals the GLR protocol and
-//! the evaluation harness need: k-hop neighbourhoods, connected components,
-//! BFS hop counts, and Euclidean-weighted shortest paths.
+//! local Delaunay triangulation, …) that all share the same vertex set: the
+//! node indices of a deployment. [`Graph`] is a simple adjacency-list
+//! representation with the traversals the GLR protocol and the evaluation
+//! harness need: k-hop neighbourhoods, connected components and
+//! Euclidean-weighted shortest paths. [`is_plane_drawing`] checks that a
+//! graph drawn at given positions has no crossing edges.
 
 use crate::point::Point2;
+use crate::predicates::segments_cross;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// An undirected graph on vertices `0..n`.
@@ -80,21 +82,6 @@ impl Graph {
         self.edge_count += 1;
     }
 
-    /// Removes the undirected edge `uv` if present; returns whether it existed.
-    pub fn remove_edge(&mut self, u: usize, v: usize) -> bool {
-        let Some(pos) = self.adj[u].iter().position(|&w| w == v) else {
-            return false;
-        };
-        self.adj[u].swap_remove(pos);
-        let pos_v = self.adj[v]
-            .iter()
-            .position(|&w| w == u)
-            .expect("adjacency lists out of sync");
-        self.adj[v].swap_remove(pos_v);
-        self.edge_count -= 1;
-        true
-    }
-
     /// `true` when the edge `uv` is present.
     #[inline]
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
@@ -153,24 +140,6 @@ impl Graph {
         }
         out.sort_unstable();
         out
-    }
-
-    /// BFS hop distance from `u` to every vertex (`None` when unreachable).
-    pub fn bfs_hops(&self, u: usize) -> Vec<Option<usize>> {
-        let mut dist = vec![None; self.len()];
-        let mut queue = VecDeque::new();
-        dist[u] = Some(0);
-        queue.push_back(u);
-        while let Some(v) = queue.pop_front() {
-            let dv = dist[v].expect("queued vertex has distance");
-            for &w in &self.adj[v] {
-                if dist[w].is_none() {
-                    dist[w] = Some(dv + 1);
-                    queue.push_back(w);
-                }
-            }
-        }
-        dist
     }
 
     /// Connected components, each sorted, ordered by smallest member.
@@ -241,27 +210,21 @@ impl Graph {
         }
         dist
     }
+}
 
-    /// Induced subgraph on `vertices` (which need not be sorted).
-    ///
-    /// Returns the subgraph plus the mapping `local index -> original vertex`.
-    pub fn induced_subgraph(&self, vertices: &[usize]) -> (Graph, Vec<usize>) {
-        let map: Vec<usize> = vertices.to_vec();
-        let mut inv = vec![usize::MAX; self.len()];
-        for (i, &v) in map.iter().enumerate() {
-            inv[v] = i;
-        }
-        let mut sub = Graph::new(map.len());
-        for (i, &v) in map.iter().enumerate() {
-            for &w in &self.adj[v] {
-                let j = inv[w];
-                if j != usize::MAX && i < j {
-                    sub.add_edge(i, j);
-                }
+/// `true` when the graph drawn with straight edges at `positions` has no
+/// crossing edges (brute force; test/diagnostic use). Edges that share only
+/// an endpoint do not cross.
+pub fn is_plane_drawing(g: &Graph, positions: &[Point2]) -> bool {
+    let edges: Vec<_> = g.edges().collect();
+    for (i, &(a, b)) in edges.iter().enumerate() {
+        for &(c, d) in &edges[i + 1..] {
+            if segments_cross(positions[a], positions[b], positions[c], positions[d]) {
+                return false;
             }
         }
-        (sub, map)
     }
+    true
 }
 
 /// Heap entry ordered so the smallest distance pops first.
@@ -328,18 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_edge_works() {
-        let mut g = Graph::new(3);
-        g.add_edge(0, 1);
-        g.add_edge(1, 2);
-        assert!(g.remove_edge(0, 1));
-        assert!(!g.remove_edge(0, 1));
-        assert!(!g.has_edge(0, 1));
-        assert!(g.has_edge(1, 2));
-        assert_eq!(g.edge_count(), 1);
-    }
-
-    #[test]
     fn edges_iterator_unique() {
         let mut g = Graph::new(4);
         g.add_edge(0, 1);
@@ -357,21 +308,6 @@ mod tests {
         assert_eq!(g.k_hop_neighborhood(0, 1), vec![0, 1]);
         assert_eq!(g.k_hop_neighborhood(2, 2), vec![0, 1, 2, 3, 4]);
         assert_eq!(g.k_hop_neighborhood(0, 99), (0..6).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn bfs_hops_on_path() {
-        let g = path_graph(4);
-        let d = g.bfs_hops(0);
-        assert_eq!(d, vec![Some(0), Some(1), Some(2), Some(3)]);
-    }
-
-    #[test]
-    fn bfs_unreachable() {
-        let mut g = Graph::new(3);
-        g.add_edge(0, 1);
-        let d = g.bfs_hops(0);
-        assert_eq!(d[2], None);
     }
 
     #[test]
@@ -426,17 +362,24 @@ mod tests {
     }
 
     #[test]
-    fn induced_subgraph_maps_edges() {
-        let mut g = Graph::new(5);
+    fn plane_drawing_rejects_crossing_edges_only() {
+        let square = vec![
+            Point2::new(0.0, 0.0),
+            Point2::new(1.0, 0.0),
+            Point2::new(1.0, 1.0),
+            Point2::new(0.0, 1.0),
+        ];
+        // The boundary plus one diagonal: every pair of edges is disjoint
+        // or meets only at a shared endpoint.
+        let mut g = Graph::new(4);
         g.add_edge(0, 1);
         g.add_edge(1, 2);
         g.add_edge(2, 3);
-        g.add_edge(3, 4);
-        let (sub, map) = g.induced_subgraph(&[1, 2, 4]);
-        assert_eq!(map, vec![1, 2, 4]);
-        assert_eq!(sub.len(), 3);
-        assert!(sub.has_edge(0, 1)); // 1-2
-        assert!(!sub.has_edge(1, 2)); // 2-4 not an edge in g
-        assert_eq!(sub.edge_count(), 1);
+        g.add_edge(3, 0);
+        g.add_edge(0, 2);
+        assert!(is_plane_drawing(&g, &square));
+        // The second diagonal crosses the first at the centre.
+        g.add_edge(1, 3);
+        assert!(!is_plane_drawing(&g, &square));
     }
 }

@@ -8,16 +8,17 @@
 //! * Bowyer–Watson Delaunay [`Triangulation`], and [`delaunay_star`] for
 //!   the Delaunay neighbours of a single point without the rest,
 //! * [`unit_disk_graph`] connectivity and the Georgiou et al.
-//!   [`connectivity_radius_bound`] behind GLR's copy-count decision,
+//!   [`connectivity_probability`] behind GLR's copy-count decision,
 //! * the **k-local Delaunay triangulation graph** ([`k_ldtg`] and its
 //!   node-local counterpart [`ldtg_local_neighbors`]) — the paper's planar
-//!   routing spanner,
-//! * [`PlanarEmbedding`] + [`face_route`]/[`greedy_face_route`] for
-//!   local-minimum recovery,
+//!   routing spanner, with [`is_plane_drawing`] to check planarity,
 //! * DSTD tree extraction ([`dstd_next_hop`], [`DstdKind`]) for controlled
 //!   flooding,
-//! * Gabriel/relative-neighbourhood baselines and spanner
-//!   [`euclidean_stretch`] metrics for the ablation studies.
+//! * spanner [`euclidean_stretch`] metrics for the ablation studies.
+//!
+//! GLR's online local-minimum recovery (face routing on a node's local
+//! spanner, one hop at a time) lives in `glr_core::spanner`, next to the
+//! protocol that runs it.
 //!
 //! # Quick example
 //!
@@ -47,8 +48,6 @@
 #![warn(missing_docs)]
 
 mod delaunay;
-mod faces;
-mod gabriel;
 mod graph;
 mod grid;
 mod hull;
@@ -60,23 +59,14 @@ mod trees;
 mod udg;
 
 pub use delaunay::{certified_delaunay_star, delaunay_star, Triangulation};
-pub use faces::{
-    face_route, greedy_face_route, is_local_minimum, is_plane_drawing, left_of, FaceWalk,
-    PlanarEmbedding,
-};
-pub use gabriel::{gabriel_graph, relative_neighborhood_graph};
-pub use graph::Graph;
+pub use graph::{is_plane_drawing, Graph};
 pub use grid::{bounding_box, Grid};
 pub use hull::convex_hull;
 pub use ldt::{k_ldtg, ldtg_local_neighbors};
 pub use point::Point2;
 pub use predicates::{
-    circumcenter, in_diametral_disk, incircle, incircle_filtered, orient2d, orient2d_filtered,
-    orient2d_raw, segments_cross, Sign,
+    incircle, incircle_filtered, orient2d, orient2d_filtered, segments_cross, Sign,
 };
-pub use spanner::{euclidean_stretch, relative_stretch, StretchReport};
-pub use trees::{dstd_fanout, dstd_next_hop, extract_dstd_path, DstdKind};
-pub use udg::{
-    connectivity_probability, connectivity_radius_bound, connectivity_radius_for_region,
-    unit_disk_graph,
-};
+pub use spanner::{euclidean_stretch, StretchReport};
+pub use trees::{dstd_next_hop, extract_dstd_path, DstdKind};
+pub use udg::{connectivity_probability, unit_disk_graph};

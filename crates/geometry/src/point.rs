@@ -67,56 +67,6 @@ impl Point2 {
         self.dist_sq(other).sqrt()
     }
 
-    /// Euclidean norm when the point is interpreted as a vector.
-    ///
-    /// ```
-    /// # use glr_geometry::Point2;
-    /// assert_eq!(Point2::new(3.0, 4.0).norm(), 5.0);
-    /// ```
-    #[inline]
-    pub fn norm(self) -> f64 {
-        (self.x * self.x + self.y * self.y).sqrt()
-    }
-
-    /// Squared Euclidean norm.
-    #[inline]
-    pub fn norm_sq(self) -> f64 {
-        self.x * self.x + self.y * self.y
-    }
-
-    /// Dot product with `other`.
-    ///
-    /// ```
-    /// # use glr_geometry::Point2;
-    /// let a = Point2::new(1.0, 0.0);
-    /// let b = Point2::new(0.0, 1.0);
-    /// assert_eq!(a.dot(b), 0.0);
-    /// ```
-    #[inline]
-    pub fn dot(self, other: Point2) -> f64 {
-        self.x * other.x + self.y * other.y
-    }
-
-    /// 2D cross product (z-component of the 3D cross product).
-    ///
-    /// Positive when `other` is counter-clockwise from `self`.
-    #[inline]
-    pub fn cross(self, other: Point2) -> f64 {
-        self.x * other.y - self.y * other.x
-    }
-
-    /// Midpoint of the segment `self`–`other`.
-    ///
-    /// ```
-    /// # use glr_geometry::Point2;
-    /// let m = Point2::new(0.0, 0.0).midpoint(Point2::new(2.0, 4.0));
-    /// assert_eq!(m, Point2::new(1.0, 2.0));
-    /// ```
-    #[inline]
-    pub fn midpoint(self, other: Point2) -> Point2 {
-        Point2::new((self.x + other.x) * 0.5, (self.y + other.y) * 0.5)
-    }
-
     /// Linear interpolation: `self` at `t = 0`, `other` at `t = 1`.
     ///
     /// `t` is not clamped; values outside `[0, 1]` extrapolate.
@@ -134,30 +84,6 @@ impl Point2 {
     #[inline]
     pub fn angle_to(self, other: Point2) -> f64 {
         (other.y - self.y).atan2(other.x - self.x)
-    }
-
-    /// The vector rotated by 90 degrees counter-clockwise.
-    #[inline]
-    pub fn perp(self) -> Point2 {
-        Point2::new(-self.y, self.x)
-    }
-
-    /// Unit vector in the direction of `self`, or `None` for the zero vector.
-    ///
-    /// ```
-    /// # use glr_geometry::Point2;
-    /// let u = Point2::new(0.0, 2.0).normalized().unwrap();
-    /// assert!((u.norm() - 1.0).abs() < 1e-12);
-    /// assert!(Point2::ORIGIN.normalized().is_none());
-    /// ```
-    #[inline]
-    pub fn normalized(self) -> Option<Point2> {
-        let n = self.norm();
-        if n == 0.0 {
-            None
-        } else {
-            Some(Point2::new(self.x / n, self.y / n))
-        }
     }
 
     /// `true` when both coordinates are finite (not NaN or infinite).
@@ -277,19 +203,10 @@ mod tests {
     }
 
     #[test]
-    fn dot_and_cross() {
-        let e1 = Point2::new(1.0, 0.0);
-        let e2 = Point2::new(0.0, 1.0);
-        assert_eq!(e1.dot(e2), 0.0);
-        assert_eq!(e1.cross(e2), 1.0);
-        assert_eq!(e2.cross(e1), -1.0);
-    }
-
-    #[test]
     fn midpoint_and_lerp() {
         let a = Point2::new(0.0, 0.0);
         let b = Point2::new(10.0, 20.0);
-        assert_eq!(a.midpoint(b), Point2::new(5.0, 10.0));
+        assert_eq!(a.lerp(b, 0.5), Point2::new(5.0, 10.0));
         assert_eq!(a.lerp(b, 0.0), a);
         assert_eq!(a.lerp(b, 1.0), b);
         assert_eq!(a.lerp(b, 0.25), Point2::new(2.5, 5.0));
@@ -303,21 +220,6 @@ mod tests {
         assert!((o.angle_to(Point2::new(1.0, 0.0)) - 0.0).abs() < 1e-12);
         assert!((o.angle_to(Point2::new(0.0, 1.0)) - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
         assert!((o.angle_to(Point2::new(-1.0, 0.0)) - std::f64::consts::PI).abs() < 1e-12);
-    }
-
-    #[test]
-    fn perp_is_ccw_rotation() {
-        let v = Point2::new(2.0, 1.0);
-        let p = v.perp();
-        assert_eq!(v.dot(p), 0.0);
-        assert!(v.cross(p) > 0.0);
-    }
-
-    #[test]
-    fn normalized_unit_and_zero() {
-        let v = Point2::new(3.0, 4.0).normalized().unwrap();
-        assert!((v.norm() - 1.0).abs() < 1e-12);
-        assert!(Point2::ORIGIN.normalized().is_none());
     }
 
     #[test]

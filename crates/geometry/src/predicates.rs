@@ -236,14 +236,6 @@ fn orient2d_dd(a: Point2, b: Point2, c: Point2) -> Sign {
     left.sub(right).sign()
 }
 
-/// Raw orientation determinant value (non-robust), `2 * signed area` of the
-/// triangle `abc`. Useful when the magnitude matters (e.g. area computations)
-/// rather than only the sign.
-#[inline]
-pub fn orient2d_raw(a: Point2, b: Point2, c: Point2) -> f64 {
-    (a.x - c.x) * (b.y - c.y) - (a.y - c.y) * (b.x - c.x)
-}
-
 // ---------------------------------------------------------------------------
 // incircle
 // ---------------------------------------------------------------------------
@@ -345,51 +337,6 @@ fn incircle_dd(a: Point2, b: Point2, c: Point2, d: Point2) -> Sign {
     let det = alift.mul(bcd).add(blift.mul(cad)).add(clift.mul(abd));
     let _ = Dd::ZERO;
     det.sign()
-}
-
-/// `true` when `p` lies strictly inside the disk with diameter `uv`.
-///
-/// This is the Gabriel-graph membership predicate: the edge `uv` belongs to
-/// the Gabriel graph iff no other point lies in the closed diametral disk.
-///
-/// ```
-/// use glr_geometry::{in_diametral_disk, Point2};
-///
-/// let u = Point2::new(0.0, 0.0);
-/// let v = Point2::new(2.0, 0.0);
-/// assert!(in_diametral_disk(Point2::new(1.0, 0.5), u, v));
-/// assert!(!in_diametral_disk(Point2::new(0.0, 2.0), u, v));
-/// ```
-#[inline]
-pub fn in_diametral_disk(p: Point2, u: Point2, v: Point2) -> bool {
-    let m = u.midpoint(v);
-    p.dist_sq(m) < u.dist_sq(v) * 0.25
-}
-
-/// Circumcenter of the triangle `(a, b, c)`, or `None` when degenerate
-/// (collinear points).
-///
-/// ```
-/// use glr_geometry::{circumcenter, Point2};
-///
-/// let c = circumcenter(
-///     Point2::new(0.0, 0.0),
-///     Point2::new(2.0, 0.0),
-///     Point2::new(0.0, 2.0),
-/// ).unwrap();
-/// assert!((c.x - 1.0).abs() < 1e-12 && (c.y - 1.0).abs() < 1e-12);
-/// ```
-pub fn circumcenter(a: Point2, b: Point2, c: Point2) -> Option<Point2> {
-    let d = 2.0 * ((a.x - c.x) * (b.y - c.y) - (a.y - c.y) * (b.x - c.x));
-    if d == 0.0 {
-        return None;
-    }
-    let aa = a.norm_sq() - c.norm_sq();
-    let bb = b.norm_sq() - c.norm_sq();
-    let ux = (aa * (b.y - c.y) - bb * (a.y - c.y)) / d;
-    let uy = (bb * (a.x - c.x) - aa * (b.x - c.x)) / d;
-    let p = Point2::new(ux, uy);
-    p.is_finite().then_some(p)
 }
 
 /// `true` when segments `ab` and `cd` properly intersect (cross at a point
@@ -522,34 +469,6 @@ mod tests {
         let just_outside = Point2::new(0.0, -(1.0 + eps));
         assert_eq!(incircle(a, b, c, just_inside), Sign::Positive);
         assert_eq!(incircle(a, b, c, just_outside), Sign::Negative);
-    }
-
-    #[test]
-    fn circumcenter_right_triangle() {
-        let c = circumcenter(
-            Point2::new(0.0, 0.0),
-            Point2::new(4.0, 0.0),
-            Point2::new(0.0, 4.0),
-        )
-        .unwrap();
-        assert!((c.x - 2.0).abs() < 1e-12);
-        assert!((c.y - 2.0).abs() < 1e-12);
-        assert!(circumcenter(
-            Point2::new(0.0, 0.0),
-            Point2::new(1.0, 1.0),
-            Point2::new(2.0, 2.0)
-        )
-        .is_none());
-    }
-
-    #[test]
-    fn diametral_disk() {
-        let u = Point2::new(0.0, 0.0);
-        let v = Point2::new(4.0, 0.0);
-        assert!(in_diametral_disk(Point2::new(2.0, 1.0), u, v));
-        assert!(!in_diametral_disk(Point2::new(2.0, 2.1), u, v));
-        // Boundary is exclusive.
-        assert!(!in_diametral_disk(Point2::new(2.0, 2.0), u, v));
     }
 
     #[test]

@@ -136,25 +136,6 @@ pub fn dstd_next_hop<I: Copy>(
     Some(cands[pick].0)
 }
 
-/// All distinct next hops for an `n_copies` transmission, one per tree kind,
-/// deduplicated (two trees may agree at a node with few neighbours).
-///
-/// Returns pairs `(kind, neighbor_id)`.
-pub fn dstd_fanout<I: Copy + PartialEq>(
-    self_pos: Point2,
-    dst_pos: Point2,
-    neighbors: &[(I, Point2)],
-    n_copies: usize,
-) -> Vec<(DstdKind, I)> {
-    let mut out: Vec<(DstdKind, I)> = Vec::new();
-    for kind in DstdKind::for_copies(n_copies) {
-        if let Some(id) = dstd_next_hop(self_pos, dst_pos, neighbors, kind) {
-            out.push((kind, id));
-        }
-    }
-    out
-}
-
 /// Walks a DSTD path on a global graph from `src` towards vertex `dst`,
 /// re-deriving the next hop at every node (as relays do online).
 ///
@@ -269,15 +250,6 @@ mod tests {
                 DstdKind::Mid(2)
             ]
         );
-    }
-
-    #[test]
-    fn fanout_deduplicates_nothing_but_reports_all_kinds() {
-        let (me, dst, nbrs) = fan();
-        let fan3 = dstd_fanout(me, dst, &nbrs, 3);
-        assert_eq!(fan3.len(), 3);
-        let ids: Vec<usize> = fan3.iter().map(|&(_, id)| id).collect();
-        assert_eq!(ids, vec![2, 3, 1]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Two nodes are connected iff their Euclidean distance is at most the
 //! common transmission radius `r`. The paper's Figure 1 (topology of 50
 //! nodes at 250 m vs 100 m in a 1000 m x 1000 m area) is exactly a pair of
-//! unit-disk graphs; [`connectivity_radius_bound`] is the Georgiou et al.
+//! unit-disk graphs; [`connectivity_probability`] inverts the Georgiou et al.
 //! bound the copy-count decision (Algorithm 1) relies on.
 
 use crate::graph::Graph;
@@ -48,55 +48,6 @@ pub fn unit_disk_graph(points: &[Point2], r: f64) -> Graph {
         });
     }
     g
-}
-
-/// The Georgiou et al. connectivity radius bound used by GLR's copy-count
-/// decision: a random network of `n` nodes in a **unit square** is connected
-/// with probability at least `1 - 1/s` when the radius is at least
-/// `sqrt((ln n + ln s) / (n * pi))`.
-///
-/// For a rectangular region of area `A`, scale the result by `sqrt(A)`
-/// (see [`connectivity_radius_for_region`]).
-///
-/// # Panics
-///
-/// Panics unless `n >= 2` and `s > 1`.
-///
-/// # Examples
-///
-/// ```
-/// use glr_geometry::connectivity_radius_bound;
-///
-/// // 50 nodes, 90% connectivity confidence (s = 10):
-/// let r = connectivity_radius_bound(50, 10.0);
-/// assert!(r > 0.19 && r < 0.21);
-/// ```
-pub fn connectivity_radius_bound(n: usize, s: f64) -> f64 {
-    assert!(n >= 2, "need at least two nodes, got {n}");
-    assert!(s > 1.0, "confidence parameter s must exceed 1, got {s}");
-    (((n as f64).ln() + s.ln()) / (n as f64 * std::f64::consts::PI)).sqrt()
-}
-
-/// [`connectivity_radius_bound`] scaled to a rectangular region of the given
-/// dimensions: the radius (in the same units as the dimensions) above which
-/// the network is connected with probability at least `1 - 1/s`.
-///
-/// # Examples
-///
-/// ```
-/// use glr_geometry::connectivity_radius_for_region;
-///
-/// // The paper's 1500 m x 300 m strip with 50 nodes: the threshold falls
-/// // between 100 m (3 copies) and 150 m (single copy).
-/// let r = connectivity_radius_for_region(50, 10.0, 1500.0, 300.0);
-/// assert!(r > 100.0 && r < 150.0);
-/// ```
-pub fn connectivity_radius_for_region(n: usize, s: f64, width: f64, height: f64) -> f64 {
-    assert!(
-        width > 0.0 && height > 0.0,
-        "region dimensions must be positive"
-    );
-    connectivity_radius_bound(n, s) * (width * height).sqrt()
 }
 
 /// Estimated probability that a random `n`-node deployment with radius `r`
@@ -174,22 +125,6 @@ mod tests {
     #[should_panic(expected = "radius must be positive")]
     fn non_positive_radius_panics() {
         unit_disk_graph(&[Point2::ORIGIN], 0.0);
-    }
-
-    #[test]
-    fn radius_bound_monotone_in_n() {
-        // More nodes need a smaller radius for the same confidence.
-        let r50 = connectivity_radius_bound(50, 10.0);
-        let r500 = connectivity_radius_bound(500, 10.0);
-        assert!(r500 < r50);
-    }
-
-    #[test]
-    fn paper_threshold_between_100_and_150m() {
-        // The paper uses 3 copies at 50/100 m and 1 copy at 150/200/250 m in
-        // the 1500x300 region; the bound should separate those regimes.
-        let r = connectivity_radius_for_region(50, 10.0, 1500.0, 300.0);
-        assert!(r > 100.0 && r < 150.0, "threshold {r}");
     }
 
     #[test]

@@ -2,8 +2,8 @@
 
 use glr_geometry::{
     certified_delaunay_star, convex_hull, delaunay_star, dstd_next_hop, euclidean_stretch,
-    gabriel_graph, incircle, is_plane_drawing, k_ldtg, orient2d, relative_neighborhood_graph,
-    segments_cross, unit_disk_graph, DstdKind, Point2, Sign, Triangulation,
+    incircle, is_plane_drawing, k_ldtg, orient2d, segments_cross, unit_disk_graph, DstdKind,
+    Point2, Sign, Triangulation,
 };
 use proptest::prelude::*;
 
@@ -264,19 +264,6 @@ proptest! {
         );
         for (u, v) in ldtg.edges() {
             prop_assert!(udg.has_edge(u, v), "LDTG edge outside UDG");
-        }
-    }
-
-    #[test]
-    fn rng_subset_gabriel_subset_udg(pts in points(4..30), r in 1.0e3..8.0e3f64) {
-        let udg = unit_disk_graph(&pts, r);
-        let gg = gabriel_graph(&pts, r);
-        let rng = relative_neighborhood_graph(&pts, r);
-        for (u, v) in rng.edges() {
-            prop_assert!(gg.has_edge(u, v));
-        }
-        for (u, v) in gg.edges() {
-            prop_assert!(udg.has_edge(u, v));
         }
     }
 

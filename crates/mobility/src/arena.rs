@@ -11,7 +11,7 @@
 //! O(1) for the stationary/single-leg common case, amortised O(1) for
 //! longer trajectories via a per-node last-segment hint.
 //!
-//! [`Trajectory`] remains the builder API: mobility models keep compiling
+//! [`Trajectory`] remains the builder API: the mobility model keeps compiling
 //! movement into individual trajectories, and the simulator interns the
 //! finished deployment once at construction.
 

@@ -2,14 +2,14 @@
 //!
 //! The paper evaluates GLR under the **random waypoint** model (0–20 m/s
 //! uniform, zero pause) in a 1500 m x 300 m strip. This crate provides that
-//! model plus a reflecting random walk and a stationary baseline, all
-//! compiled to piecewise-linear [`Trajectory`] values the discrete-event
-//! simulator can sample at arbitrary times.
+//! model, [`RandomWaypoint`], compiled to piecewise-linear [`Trajectory`]
+//! values the discrete-event simulator can sample at arbitrary times, and
+//! [`DeploymentArena`], a compact store for a whole deployment's keyframes.
 //!
 //! # Example
 //!
 //! ```
-//! use glr_mobility::{MobilityModel, RandomWaypoint, Region};
+//! use glr_mobility::{RandomWaypoint, Region};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let region = Region::PAPER_STRIP;
@@ -31,6 +31,6 @@ mod region;
 mod trajectory;
 
 pub use arena::{DeploymentArena, TrajectoryRef};
-pub use models::{MobilityModel, RandomWalk, RandomWaypoint, Stationary, SPEED_FLOOR};
+pub use models::{RandomWaypoint, SPEED_FLOOR};
 pub use region::Region;
 pub use trajectory::Trajectory;

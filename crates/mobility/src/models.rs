@@ -1,34 +1,9 @@
-//! Mobility models: random waypoint (the paper's motion pattern), random
-//! walk with boundary reflection, and stationary placement.
+//! The random waypoint mobility model, the paper's motion pattern.
 
 use crate::region::Region;
 use crate::trajectory::Trajectory;
 use glr_geometry::Point2;
 use rand::Rng;
-
-/// A mobility model that can compile a node's movement into a
-/// [`Trajectory`] covering `[0, duration]`.
-pub trait MobilityModel {
-    /// Generates one node's trajectory starting at `start`.
-    fn trajectory<R: Rng + ?Sized>(&self, start: Point2, duration: f64, rng: &mut R) -> Trajectory;
-
-    /// Generates trajectories for a whole deployment: nodes start uniformly
-    /// at random inside `region`.
-    fn deployment<R: Rng + ?Sized>(
-        &self,
-        region: Region,
-        n: usize,
-        duration: f64,
-        rng: &mut R,
-    ) -> Vec<Trajectory> {
-        (0..n)
-            .map(|_| {
-                let start = region.random_point(rng);
-                self.trajectory(start, duration, rng)
-            })
-            .collect()
-    }
-}
 
 /// The random waypoint model: repeatedly pick a uniform destination in the
 /// region, travel there in a straight line at a uniformly-sampled speed,
@@ -42,7 +17,7 @@ pub trait MobilityModel {
 /// # Examples
 ///
 /// ```
-/// use glr_mobility::{MobilityModel, RandomWaypoint, Region};
+/// use glr_mobility::{RandomWaypoint, Region};
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// let model = RandomWaypoint::paper(Region::PAPER_STRIP);
@@ -94,10 +69,15 @@ impl RandomWaypoint {
     pub fn region(&self) -> Region {
         self.region
     }
-}
 
-impl MobilityModel for RandomWaypoint {
-    fn trajectory<R: Rng + ?Sized>(&self, start: Point2, duration: f64, rng: &mut R) -> Trajectory {
+    /// Generates one node's trajectory starting at `start` and covering
+    /// `[0, duration]`.
+    pub fn trajectory<R: Rng + ?Sized>(
+        &self,
+        start: Point2,
+        duration: f64,
+        rng: &mut R,
+    ) -> Trajectory {
         let mut keyframes = vec![(0.0, self.region.clamp(start))];
         let mut t = 0.0;
         let mut pos = self.region.clamp(start);
@@ -119,94 +99,22 @@ impl MobilityModel for RandomWaypoint {
         }
         Trajectory::from_keyframes(keyframes)
     }
-}
 
-/// A random walk: pick a uniform direction and a travel period, walk at a
-/// uniformly-sampled speed, reflecting off region boundaries.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RandomWalk {
-    region: Region,
-    speed_min: f64,
-    speed_max: f64,
-    /// Duration of each leg in seconds.
-    step_time: f64,
-}
-
-impl RandomWalk {
-    /// Creates a random-walk model with the given leg duration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid speed range or non-positive `step_time`.
-    pub fn new(region: Region, speed_min: f64, speed_max: f64, step_time: f64) -> Self {
-        assert!(
-            speed_min >= 0.0 && speed_max > 0.0 && speed_min <= speed_max,
-            "invalid speed range [{speed_min}, {speed_max}]"
-        );
-        assert!(step_time > 0.0, "step_time must be positive");
-        RandomWalk {
-            region,
-            speed_min,
-            speed_max,
-            step_time,
-        }
-    }
-}
-
-impl MobilityModel for RandomWalk {
-    fn trajectory<R: Rng + ?Sized>(&self, start: Point2, duration: f64, rng: &mut R) -> Trajectory {
-        let mut keyframes = vec![(0.0, self.region.clamp(start))];
-        let mut t = 0.0;
-        let mut pos = self.region.clamp(start);
-        while t < duration {
-            let angle = rng.random_range(0.0..std::f64::consts::TAU);
-            let speed = rng
-                .random_range(self.speed_min..=self.speed_max)
-                .max(SPEED_FLOOR);
-            let mut target = pos + Point2::new(angle.cos(), angle.sin()) * (speed * self.step_time);
-            // Reflect off boundaries.
-            target = reflect(target, self.region);
-            t += self.step_time;
-            pos = target;
-            keyframes.push((t, pos));
-        }
-        Trajectory::from_keyframes(keyframes)
-    }
-}
-
-/// Reflects a point back into the region (single bounce per axis, adequate
-/// for legs shorter than the region size; clamped as a fallback).
-fn reflect(p: Point2, region: Region) -> Point2 {
-    let mut x = p.x;
-    let mut y = p.y;
-    if x < 0.0 {
-        x = -x;
-    }
-    if x > region.width() {
-        x = 2.0 * region.width() - x;
-    }
-    if y < 0.0 {
-        y = -y;
-    }
-    if y > region.height() {
-        y = 2.0 * region.height() - y;
-    }
-    region.clamp(Point2::new(x, y))
-}
-
-/// A model whose nodes never move — the degenerate baseline used by tests
-/// and static-topology analyses (paper Figure 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Stationary;
-
-impl MobilityModel for Stationary {
-    fn trajectory<R: Rng + ?Sized>(
+    /// Generates trajectories for a whole deployment: nodes start uniformly
+    /// at random inside `region`.
+    pub fn deployment<R: Rng + ?Sized>(
         &self,
-        start: Point2,
-        _duration: f64,
-        _rng: &mut R,
-    ) -> Trajectory {
-        Trajectory::stationary(start)
+        region: Region,
+        n: usize,
+        duration: f64,
+        rng: &mut R,
+    ) -> Vec<Trajectory> {
+        (0..n)
+            .map(|_| {
+                let start = region.random_point(rng);
+                self.trajectory(start, duration, rng)
+            })
+            .collect()
     }
 }
 
@@ -267,25 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn walk_stays_in_region() {
-        let region = Region::new(200.0, 200.0);
-        let model = RandomWalk::new(region, 1.0, 5.0, 10.0);
-        let mut rng = StdRng::seed_from_u64(11);
-        let traj = model.trajectory(Point2::new(100.0, 100.0), 600.0, &mut rng);
-        for i in 0..120 {
-            assert!(region.contains(traj.position_at(i as f64 * 5.0)));
-        }
-    }
-
-    #[test]
-    fn stationary_model_is_constant() {
-        let model = Stationary;
-        let mut rng = StdRng::seed_from_u64(2);
-        let traj = model.trajectory(Point2::new(7.0, 8.0), 100.0, &mut rng);
-        assert_eq!(traj.position_at(50.0), Point2::new(7.0, 8.0));
-    }
-
-    #[test]
     fn deployment_generates_n_trajectories() {
         let model = RandomWaypoint::paper(Region::PAPER_STRIP);
         let mut rng = StdRng::seed_from_u64(6);
@@ -294,23 +183,6 @@ mod tests {
         // Starting positions are spread out (not all identical).
         let first = trajs[0].position_at(0.0);
         assert!(trajs.iter().any(|t| t.position_at(0.0) != first));
-    }
-
-    #[test]
-    fn reflect_bounces_back() {
-        let region = Region::new(100.0, 100.0);
-        assert_eq!(
-            reflect(Point2::new(-10.0, 50.0), region),
-            Point2::new(10.0, 50.0)
-        );
-        assert_eq!(
-            reflect(Point2::new(110.0, 50.0), region),
-            Point2::new(90.0, 50.0)
-        );
-        assert_eq!(
-            reflect(Point2::new(50.0, -20.0), region),
-            Point2::new(50.0, 20.0)
-        );
     }
 
     #[test]

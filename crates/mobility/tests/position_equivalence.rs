@@ -6,7 +6,7 @@
 //! a pure function of `(keyframes, t)`.
 
 use glr_geometry::Point2;
-use glr_mobility::{DeploymentArena, MobilityModel, RandomWaypoint, Region, Trajectory};
+use glr_mobility::{DeploymentArena, RandomWaypoint, Region, Trajectory};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

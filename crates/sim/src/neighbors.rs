@@ -160,7 +160,7 @@ impl<'a> IntoIterator for &'a NeighborsView {
 /// once per beacon event and shared (`Arc`) by every receiver.
 ///
 /// Deliberately thin — two words, a fat `Arc` pointer. Every receiver
-/// of a beacon stores a copy inside its [`NodeTable`]'s peer map, so
+/// of a beacon stores a copy inside its `NodeTable`'s peer map, so
 /// each byte here is a byte per `(node, peer)` pair at 100k nodes; the
 /// freshest-entry timestamp the old layout cached inline is recomputed
 /// during the (amortised) sweeps that need it instead.

@@ -3,7 +3,7 @@
 //! This is the NS-2 substitute described in DESIGN.md, composed from the
 //! layered modules of this crate:
 //!
-//! * [`crate::event`] — the deterministic event queue (time-ordered,
+//! * `crate::event` — the deterministic event queue (time-ordered,
 //!   FIFO within a timestamp);
 //! * [`crate::world`] — shared world state: clock, piecewise-linear node
 //!   mobility (sampled lazily from trajectories), the spatial index, the
@@ -39,7 +39,7 @@ use crate::time::SimTime;
 use crate::workload::Workload;
 use crate::world::World;
 use glr_geometry::Point2;
-use glr_mobility::{MobilityModel, RandomWaypoint};
+use glr_mobility::RandomWaypoint;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -2,7 +2,7 @@
 //! arena, spatial index, RNG and statistics.
 //!
 //! [`World`] is the slice of engine state that both the engine and the
-//! pluggable [`crate::Medium`] need: a [`Medium`] implementation receives
+//! pluggable [`crate::Medium`] need: a medium implementation receives
 //! `&mut World` on every call and interacts with the world exclusively
 //! through the methods here — proximity queries, the deterministic RNG,
 //! the clock, and statistics reporting. Keeping all randomness behind

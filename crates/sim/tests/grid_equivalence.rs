@@ -3,7 +3,7 @@
 //! to the linear-scan reference — same node sets from raw queries, and
 //! bit-identical [`RunStats`] from full simulation runs.
 
-use glr_mobility::{DeploymentArena, MobilityModel, RandomWaypoint, Region};
+use glr_mobility::{DeploymentArena, RandomWaypoint, Region};
 use glr_sim::{
     Ctx, IndexBackend, MessageInfo, NodeId, PacketKind, Protocol, RunStats, SimConfig, SimTime,
     Simulation, SpatialIndex, Workload,

@@ -5,10 +5,10 @@
 //! This facade crate re-exports the whole stack:
 //!
 //! * [`geometry`] — robust predicates, Delaunay triangulation, unit-disk
-//!   graphs, the k-local Delaunay triangulation spanner, face routing and
-//!   DSTD tree extraction;
-//! * [`mobility`] — random waypoint (the paper's motion model), random
-//!   walk and stationary trajectories;
+//!   graphs, the k-local Delaunay triangulation spanner and DSTD tree
+//!   extraction;
+//! * [`mobility`] — random waypoint (the paper's motion model) compiled to
+//!   piecewise-linear trajectories;
 //! * [`sim`] — the deterministic discrete-event DTN simulator (the NS-2
 //!   substitute): pluggable radio media (contention / ideal / shadowing),
 //!   beacon-based neighbour sensing, workloads and statistics, plus the
@@ -16,7 +16,8 @@
 //!   with mergeable JSON reports;
 //! * [`epidemic`] — the epidemic-routing baseline (Vahdat & Becker);
 //! * [`core`] — the GLR protocol itself: controlled flooding over DSTD
-//!   trees, custody transfer, location diffusion, face-routing recovery.
+//!   trees, custody transfer, location diffusion, and online face-routing
+//!   recovery on each node's local spanner (`glr_core::spanner`).
 //!
 //! # Quick start
 //!
