@@ -56,9 +56,8 @@ fn bench_engine_dense10k(c: &mut Criterion) {
 /// 100k nodes at the paper's density for one simulated second — the
 /// scale the ROADMAP's open item named. One full beacon round from every
 /// node plus epidemic-style empty traffic. Also prints the per-node
-/// protocol-state footprint (neighbour tables after the run) against
-/// the PR-4 layout baseline, for the committed artefact's
-/// `neighbor_footprint_bytes` rows.
+/// protocol-state footprint (neighbour tables after the run), for the
+/// committed artefact's `neighbor_footprint_bytes` row.
 fn bench_engine_100k(c: &mut Criterion) {
     {
         let cfg = config(100_000, 0.5, 1.0);
@@ -66,16 +65,12 @@ fn bench_engine_100k(c: &mut Criterion) {
         let wl = Workload::paper_style(n, 100, 1000);
         Simulation::new(cfg, wl, |_, _| Idle).run_inspect(|sim| {
             let fp = sim.neighbor_footprint();
-            let baseline = sim.neighbor_footprint_baseline();
             println!(
-                "neighbor_footprint/{n}: tables {} B + snapshots {} B = {} B \
-                 ({} B/node; PR-4 layout equivalent {} B = {} B/node)",
+                "neighbor_footprint/{n}: tables {} B + snapshots {} B = {} B ({} B/node)",
                 fp.table_bytes,
                 fp.snapshot_bytes,
                 fp.total_bytes(),
                 fp.bytes_per_node(),
-                baseline,
-                baseline / n,
             );
         });
     }

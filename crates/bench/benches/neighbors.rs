@@ -1,13 +1,18 @@
-//! Criterion benchmarks of the engine's neighbor queries: uniform-grid
-//! spatial index vs the linear-scan reference, at 50 / 500 / 5000 nodes,
-//! whole-engine runs under both backends at 500 nodes, and the beacon
-//! hot path — `Arc`-interned snapshots + incremental two-hop merges
-//! (`TableBackend::Shared`) vs the clone-and-merge reference
-//! (`TableBackend::CloneMerge`) — at 500 / 5000 / 10000 nodes.
+//! Criterion benchmarks of the engine's neighbor layers: the uniform-grid
+//! spatial index at 50 / 500 / 5000 nodes, a whole-engine run at 500
+//! nodes, and the beacon hot path — `Arc`-interned snapshots +
+//! incremental two-hop merges in `NeighborTables` — at 500 / 5000 /
+//! 10000 nodes.
+//!
+//! The linear-scan index and clone-and-merge tables these replaced are
+//! test-only oracles now and are not benched; the speedups measured
+//! against them when they were introduced are recorded in CHANGES.md.
+//! The rows keep their `grid` / `shared` labels so they stay comparable
+//! with earlier sittings.
 //!
 //! Node density is held at the paper's (50 nodes per 1500 m × 300 m
 //! strip) by scaling the region with √n, so per-query result sizes stay
-//! comparable and the measured difference is the index, not the answer.
+//! comparable across sizes.
 //!
 //! Regenerate the committed artefact with:
 //!
@@ -18,8 +23,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use glr_mobility::{DeploymentArena, RandomWaypoint, Region};
 use glr_sim::{
-    IndexBackend, NeighborEntry, NeighborTables, NodeId, SimConfig, SimTime, Simulation,
-    SpatialIndex, TableBackend, Workload,
+    NeighborEntry, NeighborTables, NodeId, SimConfig, SimTime, Simulation, SpatialIndex, Workload,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,8 +43,8 @@ fn deployment(n: usize, duration: f64, seed: u64) -> (Region, DeploymentArena) {
     (region, trajs)
 }
 
-fn index(backend: IndexBackend, n: usize, trajs: &DeploymentArena) -> SpatialIndex {
-    let mut idx = SpatialIndex::new(backend, n, 20.0, RANGE);
+fn index(n: usize, trajs: &DeploymentArena) -> SpatialIndex {
+    let mut idx = SpatialIndex::new(n, 20.0, RANGE);
     idx.refresh(SimTime::ZERO, trajs);
     idx
 }
@@ -64,22 +68,17 @@ fn bench_nodes_within(c: &mut Criterion) {
     let mut g = c.benchmark_group("nodes_within_64q");
     for n in SIZES {
         let (_, trajs) = deployment(n, 10.0, 42);
-        for (name, backend) in [
-            ("linear", IndexBackend::LinearScan),
-            ("grid", IndexBackend::Grid),
-        ] {
-            let idx = index(backend, n, &trajs);
-            g.bench_function(BenchmarkId::new(name, n), |b| {
-                b.iter(|| query_batch(black_box(&idx), &trajs, n))
-            });
-        }
+        let idx = index(n, &trajs);
+        g.bench_function(BenchmarkId::new("grid", n), |b| {
+            b.iter(|| query_batch(black_box(&idx), &trajs, n))
+        });
     }
     g.finish();
 }
 
 fn bench_engine_end_to_end(c: &mut Criterion) {
-    // Whole-engine comparison at 500 nodes: beacons + contention queries
-    // dominate, so the index backend shows up directly in events/second.
+    // Whole-engine run at 500 nodes: beacons + contention queries
+    // dominate, so the index shows up directly in events/second.
     struct Idle;
     impl glr_sim::Protocol for Idle {
         type Packet = ();
@@ -87,38 +86,31 @@ fn bench_engine_end_to_end(c: &mut Criterion) {
         fn on_packet(&mut self, _: &mut glr_sim::Ctx<'_, ()>, _: glr_sim::NodeId, _: ()) {}
     }
     let mut g = c.benchmark_group("engine_500n_10s");
-    for (name, backend) in [
-        ("linear", IndexBackend::LinearScan),
-        ("grid", IndexBackend::Grid),
-    ] {
-        g.bench_function(BenchmarkId::new(name, 500), |b| {
-            b.iter(|| {
-                let scale = (500.0f64 / 50.0).sqrt();
-                let cfg = SimConfig::paper(RANGE, 7)
-                    .with_nodes(500)
-                    .with_region(Region::new(1500.0 * scale, 300.0 * scale))
-                    .with_duration(10.0)
-                    .with_neighbor_index(backend);
-                Simulation::new(black_box(cfg), Workload::default(), |_, _| Idle).run()
-            })
-        });
-    }
+    g.bench_function(BenchmarkId::new("grid", 500), |b| {
+        b.iter(|| {
+            let scale = (500.0f64 / 50.0).sqrt();
+            let cfg = SimConfig::paper(RANGE, 7)
+                .with_nodes(500)
+                .with_region(Region::new(1500.0 * scale, 300.0 * scale))
+                .with_duration(10.0);
+            Simulation::new(black_box(cfg), Workload::default(), |_, _| Idle).run()
+        })
+    });
     g.finish();
 }
 
-/// One backend's beacon workload: `rounds` full beacon rounds — per
+/// The beacon workload: `rounds` full beacon rounds — per
 /// beacon one snapshot materialisation, then a `record_beacon` at each
 /// radio neighbour — with a `fresh_view` (2-hop) query at 64 probe
 /// nodes per round, the mix a beacon interval of protocol activity
 /// generates.
 fn beacon_rounds(
-    backend: TableBackend,
     n: usize,
     positions: &[glr_geometry::Point2],
     nbrs: &[Vec<NodeId>],
     rounds: usize,
 ) -> (usize, usize) {
-    let mut tables = NeighborTables::new(n, 2.5, backend);
+    let mut tables = NeighborTables::new(n, 2.5);
     let mut contacts = 0usize;
     let mut seen = 0usize;
     for round in 0..rounds {
@@ -144,8 +136,8 @@ fn beacon_rounds(
 
 /// Static deployment with the region scaled by `(n/50)^exponent`:
 /// exponent 0.5 holds the paper's node density (constant radio degree),
-/// 0.25 grows density with `√n` — the dense regime where the reference
-/// backend's per-reception merge is quadratic in the degree.
+/// 0.25 grows density with `√n` — the dense regime, where a
+/// per-reception merge would be quadratic in the degree.
 fn tables_fixture(
     n: usize,
     exponent: f64,
@@ -157,7 +149,7 @@ fn tables_fixture(
     let mut rng = StdRng::seed_from_u64(seed);
     let trajs = DeploymentArena::from_trajectories(&model.deployment(region, n, 10.0, &mut rng));
     let positions: Vec<_> = (0..n).map(|u| trajs.position_at(u, 0.0)).collect();
-    let mut idx = SpatialIndex::new(IndexBackend::Grid, n, 20.0, RANGE);
+    let mut idx = SpatialIndex::new(n, 20.0, RANGE);
     idx.refresh(SimTime::ZERO, &trajs);
     let nbrs: Vec<Vec<NodeId>> = (0..n)
         .map(|u| idx.nodes_within(&trajs, SimTime::ZERO, positions[u], RANGE, NodeId(u as u32)))
@@ -166,42 +158,30 @@ fn tables_fixture(
 }
 
 /// The beacon hot path at the paper's density (degree stays ~constant
-/// as `n` grows): interned snapshots vs the clone-and-merge reference.
-/// Neighbour lists are precomputed so the measurement is the table
-/// layer, not the spatial index.
+/// as `n` grows). Neighbour lists are precomputed so the measurement is
+/// the table layer, not the spatial index.
 fn bench_beacon_paper_density(c: &mut Criterion) {
     let mut g = c.benchmark_group("beacon_3rounds_64q");
     for n in [500usize, 5000, 10000] {
         let (positions, nbrs) = tables_fixture(n, 0.5, 42);
-        for (name, backend) in [
-            ("clone", TableBackend::CloneMerge),
-            ("shared", TableBackend::Shared),
-        ] {
-            g.bench_function(BenchmarkId::new(name, n), |b| {
-                b.iter(|| black_box(beacon_rounds(backend, n, &positions, &nbrs, 3)))
-            });
-        }
+        g.bench_function(BenchmarkId::new("shared", n), |b| {
+            b.iter(|| black_box(beacon_rounds(n, &positions, &nbrs, 3)))
+        });
     }
     g.finish();
 }
 
 /// The beacon hot path in the dense regime (density grows with `√n`, so
 /// the radio degree grows too — the regime that dominates 10k+-node
-/// scenarios whose deployment area does not scale with the swarm). The
-/// reference pays O(degree × two-hop table) per reception; the shared
-/// backend pays O(1).
+/// scenarios whose deployment area does not scale with the swarm). A
+/// reception costs O(1) however large the two-hop table grows.
 fn bench_beacon_dense(c: &mut Criterion) {
     let mut g = c.benchmark_group("beacon_dense_1round_64q");
     for n in [500usize, 5000, 10000] {
         let (positions, nbrs) = tables_fixture(n, 0.25, 42);
-        for (name, backend) in [
-            ("clone", TableBackend::CloneMerge),
-            ("shared", TableBackend::Shared),
-        ] {
-            g.bench_function(BenchmarkId::new(name, n), |b| {
-                b.iter(|| black_box(beacon_rounds(backend, n, &positions, &nbrs, 1)))
-            });
-        }
+        g.bench_function(BenchmarkId::new("shared", n), |b| {
+            b.iter(|| black_box(beacon_rounds(n, &positions, &nbrs, 1)))
+        });
     }
     g.finish();
 }

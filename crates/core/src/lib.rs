@@ -41,9 +41,9 @@
 //!
 //! GLR runs unchanged at 10k+ nodes: `SimConfig::paper_scaled` (or the
 //! `Scenario::large_n_tier` preset) keeps the paper's node density while
-//! the engine's grid spatial index and shared-snapshot neighbour tables
-//! (`glr_sim::TableBackend::Shared`) keep the beacon path near O(1) per
-//! reception.
+//! the engine's grid spatial index (`glr_sim::SpatialIndex`) and
+//! shared-snapshot neighbour tables (`glr_sim::NeighborTables`) keep the
+//! beacon path near O(1) per reception.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -161,7 +161,7 @@ impl Glr {
         let v_max = ctx.config().speed_range.1;
         let range = ctx.config().radio_range;
         // One shared snapshot serves both filters (an Arc clone, not a
-        // fresh table materialisation, under the default table backend).
+        // fresh table materialisation).
         let nbrs = ctx.neighbors();
         let one_hop: Vec<NodeId> = nbrs
             .iter()

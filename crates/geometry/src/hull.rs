@@ -1,7 +1,7 @@
-//! Convex hull (Andrew's monotone chain).
+//! Convex hull (Andrew's monotone chain), compiled for tests only.
 //!
-//! Used by the Delaunay tests (hull edges must appear in the triangulation)
-//! and by the evaluation harness for deployment-region statistics.
+//! The Delaunay tests use it as an oracle: hull edges must appear in the
+//! triangulation, and Euler's formula needs the hull vertex count.
 
 use crate::point::Point2;
 use crate::predicates::{orient2d, Sign};
@@ -11,23 +11,7 @@ use crate::predicates::{orient2d, Sign};
 ///
 /// Collinear points on the hull boundary are **excluded** (strict hull).
 /// Returns all input indices (sorted) when fewer than 3 points are given.
-///
-/// # Examples
-///
-/// ```
-/// use glr_geometry::{convex_hull, Point2};
-///
-/// let pts = vec![
-///     Point2::new(0.0, 0.0),
-///     Point2::new(2.0, 0.0),
-///     Point2::new(1.0, 0.5), // interior
-///     Point2::new(2.0, 2.0),
-///     Point2::new(0.0, 2.0),
-/// ];
-/// let hull = convex_hull(&pts);
-/// assert_eq!(hull, vec![0, 1, 3, 4]);
-/// ```
-pub fn convex_hull(points: &[Point2]) -> Vec<usize> {
+pub(crate) fn convex_hull(points: &[Point2]) -> Vec<usize> {
     let n = points.len();
     if n < 3 {
         let mut idx: Vec<usize> = (0..n).collect();
@@ -82,6 +66,7 @@ fn lex_cmp(a: Point2, b: Point2) -> std::cmp::Ordering {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn square_hull() {
@@ -141,5 +126,27 @@ mod tests {
         let pts = vec![Point2::new(1.0, 1.0); 5];
         let hull = convex_hull(&pts);
         assert_eq!(hull.len(), 1);
+    }
+
+    fn points(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Point2>> {
+        // Simulation-scale coordinates on a 1/64 grid, as in the crate's
+        // property tests.
+        let coord = || (-1.0e4..1.0e4f64).prop_map(|v| (v * 64.0).round() / 64.0);
+        prop::collection::vec((coord(), coord()).prop_map(|(x, y)| Point2::new(x, y)), n)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn hull_contains_extremes(pts in points(3..40)) {
+            let hull = convex_hull(&pts);
+            prop_assume!(hull.len() >= 3);
+            // The lexicographically smallest and largest points are hull vertices.
+            let min = (0..pts.len()).min_by(|&i, &j| {
+                pts[i].x.partial_cmp(&pts[j].x).unwrap().then(pts[i].y.partial_cmp(&pts[j].y).unwrap())
+            }).unwrap();
+            prop_assert!(hull.iter().any(|&h| pts[h] == pts[min]));
+        }
     }
 }

@@ -50,6 +50,7 @@
 mod delaunay;
 mod graph;
 mod grid;
+#[cfg(test)]
 mod hull;
 mod ldt;
 mod point;
@@ -61,7 +62,6 @@ mod udg;
 pub use delaunay::{certified_delaunay_star, delaunay_star, Triangulation};
 pub use graph::{is_plane_drawing, Graph};
 pub use grid::{bounding_box, Grid};
-pub use hull::convex_hull;
 pub use ldt::{k_ldtg, ldtg_local_neighbors};
 pub use point::Point2;
 pub use predicates::{

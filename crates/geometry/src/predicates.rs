@@ -50,18 +50,6 @@ impl Sign {
         }
     }
 
-    /// `true` when the sign is [`Sign::Positive`].
-    #[inline]
-    pub fn is_positive(self) -> bool {
-        self == Sign::Positive
-    }
-
-    /// `true` when the sign is [`Sign::Negative`].
-    #[inline]
-    pub fn is_negative(self) -> bool {
-        self == Sign::Negative
-    }
-
     /// `true` when the sign is [`Sign::Zero`].
     #[inline]
     pub fn is_zero(self) -> bool {

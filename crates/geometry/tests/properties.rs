@@ -1,9 +1,9 @@
 //! Property-based tests for the geometry substrate.
 
 use glr_geometry::{
-    certified_delaunay_star, convex_hull, delaunay_star, dstd_next_hop, euclidean_stretch,
-    incircle, is_plane_drawing, k_ldtg, orient2d, segments_cross, unit_disk_graph, DstdKind,
-    Point2, Sign, Triangulation,
+    certified_delaunay_star, delaunay_star, dstd_next_hop, euclidean_stretch, incircle,
+    is_plane_drawing, k_ldtg, orient2d, segments_cross, unit_disk_graph, DstdKind, Point2, Sign,
+    Triangulation,
 };
 use proptest::prelude::*;
 
@@ -219,17 +219,6 @@ proptest! {
     fn segments_cross_symmetric(a in point(), b in point(), c in point(), d in point()) {
         prop_assert_eq!(segments_cross(a, b, c, d), segments_cross(c, d, a, b));
         prop_assert_eq!(segments_cross(a, b, c, d), segments_cross(b, a, d, c));
-    }
-
-    #[test]
-    fn hull_contains_extremes(pts in points(3..40)) {
-        let hull = convex_hull(&pts);
-        prop_assume!(hull.len() >= 3);
-        // The lexicographically smallest and largest points are hull vertices.
-        let min = (0..pts.len()).min_by(|&i, &j| {
-            pts[i].x.partial_cmp(&pts[j].x).unwrap().then(pts[i].y.partial_cmp(&pts[j].y).unwrap())
-        }).unwrap();
-        prop_assert!(hull.iter().any(|&h| pts[h] == pts[min]));
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Simulation configuration.
 
-use crate::neighbors::TableBackend;
-use crate::space::IndexBackend;
 use glr_mobility::Region;
 
 /// Full configuration of a simulation run.
@@ -9,6 +7,11 @@ use glr_mobility::Region;
 /// Defaults ([`SimConfig::paper`]) reproduce Table 1 of the paper:
 /// 50 nodes, 1500 m x 300 m, 0–20 m/s random waypoint with zero pause,
 /// 1 Mbps, link-layer queue of 150 packets, 1000-byte payloads, 3800 s.
+///
+/// No field selects a data structure: the engine always uses the grid
+/// [`crate::SpatialIndex`] and the shared-snapshot
+/// [`crate::NeighborTables`]. Their reference implementations exist only
+/// in the crate's test builds.
 ///
 /// # Examples
 ///
@@ -59,19 +62,6 @@ pub struct SimConfig {
     pub storage_limit: Option<usize>,
     /// Interval between storage-occupancy samples for the statistics.
     pub stats_interval: f64,
-    /// Spatial index backing the engine's proximity queries. Both
-    /// backends return identical results (and identical [`crate::RunStats`]
-    /// for a fixed seed); [`IndexBackend::Grid`] is asymptotically faster
-    /// and the default, [`IndexBackend::LinearScan`] is the reference
-    /// implementation.
-    pub neighbor_index: IndexBackend,
-    /// Data structure backing the IMEP neighbour tables. Both backends
-    /// are observably identical (bit-identical [`crate::RunStats`] for a
-    /// fixed seed); [`TableBackend::Shared`] interns beacon snapshots and
-    /// merges incrementally — O(1) per beacon reception — and is the
-    /// default, [`TableBackend::CloneMerge`] is the clone-and-merge
-    /// reference implementation.
-    pub neighbor_tables: TableBackend,
     /// RNG seed; runs with equal configuration and seed are identical.
     pub seed: u64,
 }
@@ -96,8 +86,6 @@ impl SimConfig {
             mac_retries: 6,
             storage_limit: None,
             stats_interval: 1.0,
-            neighbor_index: IndexBackend::Grid,
-            neighbor_tables: TableBackend::Shared,
             seed,
         }
     }
@@ -142,18 +130,6 @@ impl SimConfig {
     /// Returns the config with a different seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Returns the config with a different spatial-index backend.
-    pub fn with_neighbor_index(mut self, backend: IndexBackend) -> Self {
-        self.neighbor_index = backend;
-        self
-    }
-
-    /// Returns the config with a different neighbour-table backend.
-    pub fn with_neighbor_tables(mut self, backend: TableBackend) -> Self {
-        self.neighbor_tables = backend;
         self
     }
 

@@ -1,19 +1,21 @@
-//! Refactor-safety properties for the neighbour-table layer: the shared
-//! (`Arc`-interned snapshots, incremental two-hop merges, lazy staleness
-//! sweeping) backend must be *exactly* equivalent to the clone-and-merge
-//! reference — bit-identical [`RunStats`] from full simulation runs
-//! across random configurations, seeds, all three media, and both
-//! spatial-index backends. Same pattern as `grid_equivalence.rs`.
+//! Refactor-safety properties for the engine's two hot layers: full
+//! simulation runs must produce *bit-identical* [`RunStats`] when the
+//! test-only reference implementations replace the production ones —
+//! the linear-scan oracle for the grid [`crate::SpatialIndex`], and the
+//! clone-and-merge oracle for the shared-snapshot
+//! [`crate::NeighborTables`] — across random configurations, seeds and
+//! all three media.
 
-use glr_sim::{
-    Ctx, IndexBackend, MediumKind, MessageInfo, NodeId, PacketKind, Protocol, RunStats, SimConfig,
-    TableBackend, Workload,
+use crate::{
+    Ctx, MediumKind, MessageInfo, NodeId, PacketKind, Protocol, RunStats, SimConfig, Simulation,
+    Workload,
 };
 use proptest::prelude::*;
 
-/// A controlled flood over the fresh 1-hop table: any divergence in entry
-/// *content or order* changes queueing order, contention, RNG draws and
-/// therefore the statistics.
+/// A controlled flood over the fresh 1-hop table: exercises queues,
+/// contention, collisions and ARQ, and any divergence in the index's
+/// node sets or in table entry *content or order* changes queueing
+/// order, contention, RNG draws and therefore the statistics.
 struct Flood;
 
 #[derive(Debug, Clone)]
@@ -108,30 +110,47 @@ fn medium_for(choice: u8) -> MediumKind {
     }
 }
 
+/// Runs one simulation; `oracles` swaps reference implementations in
+/// before the run (the identity keeps the production ones).
 fn run<P: Protocol>(
     cfg: &SimConfig,
     wl: &Workload,
     medium: &MediumKind,
-    tables: TableBackend,
     factory: impl FnMut(NodeId, &SimConfig) -> P,
+    oracles: impl FnOnce(Simulation<P>) -> Simulation<P>,
 ) -> RunStats {
-    let cfg = cfg.clone().with_neighbor_tables(tables);
-    glr_sim::Simulation::with_boxed_medium(
-        cfg.clone(),
-        wl.clone(),
-        factory,
-        medium.build(cfg.n_nodes),
-    )
-    .run()
+    let sim =
+        Simulation::with_boxed_medium(cfg.clone(), wl.clone(), factory, medium.build(cfg.n_nodes));
+    oracles(sim).run()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
+    /// Full engine equivalence: for random configurations and seeds, a
+    /// complete `Simulation::run` produces *bit-identical* `RunStats`
+    /// with the grid index and with the linear-scan oracle.
+    #[test]
+    fn full_runs_are_bit_identical_across_backends(
+        seed in 0u64..100_000,
+        range in 30.0..300.0f64,
+        msgs in 1usize..25,
+    ) {
+        let cfg = SimConfig::paper(range, seed)
+            .with_nodes(30)
+            .with_duration(60.0);
+        let wl = Workload::paper_style(cfg.n_nodes, msgs, 1000);
+        let medium = MediumKind::Contention;
+        let grid = run(&cfg, &wl, &medium, |_, _| Flood, |s| s);
+        let linear = run(&cfg, &wl, &medium, |_, _| Flood, |s| s.with_linear_scan_index());
+        prop_assert_eq!(grid, linear, "seed={} range={} msgs={}", seed, range, msgs);
+    }
+
     /// Full engine equivalence on the 1-hop path: for random
     /// configurations, seeds, and media, a complete run produces
-    /// bit-identical `RunStats` under both table backends — under both
-    /// spatial-index backends.
+    /// bit-identical `RunStats` with the shared tables and with the
+    /// clone-and-merge oracle — over the grid index and over the
+    /// linear-scan oracle.
     #[test]
     fn flood_runs_are_bit_identical_across_table_backends(
         seed in 0u64..100_000,
@@ -140,17 +159,22 @@ proptest! {
         medium_choice in 0u8..3,
     ) {
         let medium = medium_for(medium_choice);
-        for index in [IndexBackend::Grid, IndexBackend::LinearScan] {
+        for linear_index in [false, true] {
+            let index = |s: Simulation<Flood>| {
+                if linear_index { s.with_linear_scan_index() } else { s }
+            };
             let cfg = SimConfig::paper(range, seed)
                 .with_nodes(30)
-                .with_duration(60.0)
-                .with_neighbor_index(index);
+                .with_duration(60.0);
             let wl = Workload::paper_style(cfg.n_nodes, msgs, 1000);
-            let shared = run(&cfg, &wl, &medium, TableBackend::Shared, |_, _| Flood);
-            let reference = run(&cfg, &wl, &medium, TableBackend::CloneMerge, |_, _| Flood);
+            let shared = run(&cfg, &wl, &medium, |_, _| Flood, index);
+            let reference = run(&cfg, &wl, &medium, |_, _| Flood, |s| {
+                index(s).with_clone_merge_tables()
+            });
             prop_assert_eq!(
                 shared, reference,
-                "seed={} range={} msgs={} medium={} index={:?}", seed, range, msgs, medium, index
+                "seed={} range={} msgs={} medium={} linear_index={}",
+                seed, range, msgs, medium, linear_index
             );
         }
     }
@@ -171,8 +195,10 @@ proptest! {
             .with_nodes(30)
             .with_duration(60.0);
         let wl = Workload::paper_style(cfg.n_nodes, msgs, 1000);
-        let shared = run(&cfg, &wl, &medium, TableBackend::Shared, |_, _| ViewGreedy);
-        let reference = run(&cfg, &wl, &medium, TableBackend::CloneMerge, |_, _| ViewGreedy);
+        let shared = run(&cfg, &wl, &medium, |_, _| ViewGreedy, |s| s);
+        let reference = run(&cfg, &wl, &medium, |_, _| ViewGreedy, |s| {
+            s.with_clone_merge_tables()
+        });
         prop_assert_eq!(
             shared, reference,
             "seed={} range={} msgs={} medium={}", seed, range, msgs, medium
@@ -190,19 +216,14 @@ fn long_runs_with_churn_stay_bit_identical() {
             .with_nodes(40)
             .with_duration(300.0);
         let wl = Workload::paper_style(cfg.n_nodes, 30, 1000);
-        let shared = run(
-            &cfg,
-            &wl,
-            &MediumKind::Contention,
-            TableBackend::Shared,
-            |_, _| ViewGreedy,
-        );
+        let medium = MediumKind::Contention;
+        let shared = run(&cfg, &wl, &medium, |_, _| ViewGreedy, |s| s);
         let reference = run(
             &cfg,
             &wl,
-            &MediumKind::Contention,
-            TableBackend::CloneMerge,
+            &medium,
             |_, _| ViewGreedy,
+            |s| s.with_clone_merge_tables(),
         );
         assert_eq!(shared, reference, "seed={seed} range={range}");
     }

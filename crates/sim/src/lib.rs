@@ -26,8 +26,8 @@
 //! |---|---|
 //! | [`mod@sim`] | event sequencing: drains same-tick batches, advances the clock, dispatches each event in order on one thread |
 //! | [`mod@medium`] | radio/PHY behind the pluggable [`Medium`] trait: [`ContentionMedium`] (default), [`IdealMedium`], [`ShadowingMedium`], [`DutyCycledMedium`] |
-//! | [`mod@neighbors`] | IMEP beacon sensing: `Arc`-interned beacon snapshots and incrementally merged 1-/2-hop tables with TTL expiry ([`TableBackend::Shared`]), plus the clone-and-merge reference ([`TableBackend::CloneMerge`]) |
-//! | [`mod@space`] | proximity queries: grid-indexed ([`SpatialIndex`]) with an exact linear-scan reference backend |
+//! | [`mod@neighbors`] | IMEP beacon sensing: `Arc`-interned beacon snapshots and incrementally merged 1-/2-hop tables with TTL expiry ([`NeighborTables`]) |
+//! | [`mod@space`] | proximity queries: an exact, drift-compensated grid index ([`SpatialIndex`]) |
 //! | [`mod@world`] | shared state: clock, trajectories, RNG, statistics |
 //! | [`mod@scenario`] | declarative experiment cells: [`Scenario`] = config + workload + [`MediumKind`] |
 //! | [`mod@sweep`] | the parameter-sweep engine: work-queue execution of `(cell, run)` units on scoped threads, sharding, deterministic collection |
@@ -44,8 +44,7 @@
 //! resumes an interrupted run from the cells already present in its
 //! partial report. Runs are pure functions of
 //! `(config, workload, protocol, seed)`: the same seed gives
-//! bit-identical [`RunStats`] under either spatial-index backend,
-//! either neighbour-table backend, any thread count, any shard split,
+//! bit-identical [`RunStats`] under any thread count, any shard split,
 //! and any conforming medium.
 //!
 //! # Where the parallelism is
@@ -59,16 +58,20 @@
 //!
 //! # Scaling to 100k+ nodes
 //!
-//! Two hot paths get faster backends, each validated bit-for-bit
-//! against a straightforward reference implementation:
+//! Each of the two hot layers has one implementation, built for scale:
 //!
-//! * proximity queries — [`IndexBackend::Grid`] vs
-//!   [`IndexBackend::LinearScan`] (`tests/grid_equivalence.rs`);
-//! * the beacon/neighbour layer — [`TableBackend::Shared`] (one
+//! * proximity queries — the drift-compensated grid [`SpatialIndex`];
+//! * the beacon/neighbour layer — [`NeighborTables`] (one
 //!   `Arc`-interned snapshot per beacon shared by all receivers,
 //!   incremental keyed merges, lazy staleness sweeping, cached
-//!   [`Ctx::neighbors`]/[`Ctx::local_view`]) vs
-//!   [`TableBackend::CloneMerge`] (`tests/table_equivalence.rs`).
+//!   [`Ctx::neighbors`]/[`Ctx::local_view`]).
+//!
+//! The straightforward implementations they replaced — a linear scan
+//! over all nodes and clone-and-merge tables — are kept only as
+//! `#[cfg(test)]` oracles. The crate's equivalence tests swap them into
+//! full simulation runs over every medium and require bit-identical
+//! [`RunStats`]; `tests/grid_equivalence.rs` checks the grid's raw
+//! queries against a plain scan.
 //!
 //! Single-run memory is flat: the whole deployment's trajectories are
 //! interned into one contiguous [`glr_mobility::DeploymentArena`]
@@ -124,6 +127,8 @@
 #![warn(missing_docs)]
 
 mod config;
+#[cfg(test)]
+mod equivalence;
 mod event;
 mod ids;
 mod json;
@@ -150,15 +155,14 @@ pub use medium::{
     ShadowingMedium, ShadowingParams, TxResolution, DUTY_SLEEP_DROP, SHADOWING_FADE_LOSS,
 };
 pub use neighbors::{
-    BeaconSnapshot, NeighborEntry, NeighborTables, NeighborsIter, NeighborsView, TableBackend,
-    TableFootprint,
+    BeaconSnapshot, NeighborEntry, NeighborTables, NeighborsIter, NeighborsView, TableFootprint,
 };
 pub use queue::TimedQueue;
 pub use report::{CellReport, ReportSet, RunMetrics};
 pub use runner::MultiRun;
 pub use scenario::{MediumKind, Scenario, WorkloadSpec};
 pub use sim::{Ctx, Protocol, Simulation};
-pub use space::{IndexBackend, SpatialIndex};
+pub use space::SpatialIndex;
 pub use stats::{summarize, MessageRecord, RunStats, Summary};
 pub use sweep::{CellRuns, Shard, Sweep, SweepResults};
 pub use time::SimTime;

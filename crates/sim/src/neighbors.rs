@@ -8,31 +8,28 @@
 //! as of each neighbour's last beacon, and departures are only noticed
 //! when the TTL lapses.
 //!
-//! # Backends
+//! # Implementation
 //!
-//! Two implementations sit behind [`NeighborTables`], selected by
-//! [`TableBackend`] (mirroring the [`crate::SpatialIndex`] grid /
-//! linear-scan pair):
+//! [`NeighborTables`] has one implementation, built for 10k+-node
+//! deployments. A beacon's 1-hop snapshot is materialised **once** per
+//! beacon event behind an `Arc` ([`BeaconSnapshot`]) and shared by every
+//! receiver; [`NeighborTables::record_beacon`] stores the `Arc` keyed by
+//! sender — amortised O(1) per reception — instead of merging the
+//! snapshot entry-by-entry into a linearly-scanned 2-hop `Vec`. 1-hop
+//! upserts go through a hash index, expiry is swept lazily (amortised,
+//! never a per-beacon full-table rebuild), and the protocol-facing views
+//! ([`NeighborsView`]) are `Arc`-backed and cached per
+//! `(node, time, generation)`, so repeated [`crate::Ctx::neighbors`] /
+//! [`crate::Ctx::local_view`] calls within one event are
+//! allocation-free.
 //!
-//! * [`TableBackend::Shared`] (the default) is built for 10k+-node
-//!   deployments. A beacon's 1-hop snapshot is materialised **once** per
-//!   beacon event behind an `Arc` ([`BeaconSnapshot`]) and shared by
-//!   every receiver; [`NeighborTables::record_beacon`] stores the `Arc`
-//!   keyed by sender — amortised O(1) per reception — instead of merging
-//!   the snapshot entry-by-entry into a linearly-scanned 2-hop `Vec`.
-//!   1-hop upserts go through a hash index, expiry is swept lazily
-//!   (amortised, never a per-beacon full-table rebuild), and the
-//!   protocol-facing views ([`NeighborsView`]) are `Arc`-backed and
-//!   cached per `(node, time, generation)`, so repeated
-//!   [`crate::Ctx::neighbors`] / [`crate::Ctx::local_view`] calls within
-//!   one event are allocation-free.
-//! * [`TableBackend::CloneMerge`] is the original clone-and-merge
-//!   implementation, kept as the behavioural reference the shared
-//!   backend is validated against (`tests/table_equivalence.rs`).
-//!
-//! Both backends are **observably identical**: for any fixed seed a full
-//! simulation produces bit-identical [`crate::RunStats`] under either.
-//! The equivalence hinges on two invariants the engine maintains:
+//! The original clone-and-merge tables (`Vec`-scanned, deep-merged on
+//! every reception, expired eagerly) survive only as a test oracle
+//! compiled under `#[cfg(test)]`. The crate's tests check that the two
+//! are **observably identical**: for a fixed seed a full simulation
+//! produces bit-identical [`crate::RunStats`] with either, over every
+//! medium. The equivalence hinges on two invariants the engine
+//! maintains:
 //!
 //! 1. *Deterministic entries*: every entry recorded for node `x` with
 //!    `heard_at = t` carries `x`'s true position at `t`, so freshest-wins
@@ -59,36 +56,12 @@ pub struct NeighborEntry {
     pub heard_at: SimTime,
 }
 
-/// Which data structure backs the neighbour tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TableBackend {
-    /// `Arc`-interned beacon snapshots, hash-indexed 1-hop tables,
-    /// amortised staleness sweeping — O(1) per beacon reception. The
-    /// default.
-    #[default]
-    Shared,
-    /// The original clone-and-merge tables: every reception deep-merges
-    /// the snapshot into `Vec`-scanned 1-/2-hop tables. Kept as the
-    /// reference implementation the shared backend is validated against.
-    CloneMerge,
-}
-
-impl TableBackend {
-    /// A short stable name (`"shared"` / `"clone-merge"`) for labels.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TableBackend::Shared => "shared",
-            TableBackend::CloneMerge => "clone-merge",
-        }
-    }
-}
-
 /// A cheap, immutable, shareable view of neighbour entries.
 ///
 /// Dereferences to `[NeighborEntry]` and iterates by value like the
 /// `Vec<NeighborEntry>` it replaced, but cloning is an `Arc` bump: the
-/// shared backend hands the same allocation to every caller asking for
-/// the same node's view at the same time.
+/// tables hand the same allocation to every caller asking for the same
+/// node's view at the same time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NeighborsView {
     entries: Arc<[NeighborEntry]>,
@@ -196,16 +169,15 @@ impl BeaconSnapshot {
 // Facade
 // ---------------------------------------------------------------------------
 
-/// All nodes' 1-hop and 2-hop neighbour tables, behind a selectable
-/// [`TableBackend`].
+/// All nodes' 1-hop and 2-hop neighbour tables.
 ///
 /// # Examples
 ///
 /// ```
-/// use glr_sim::{BeaconSnapshot, NeighborEntry, NeighborTables, NodeId, SimTime, TableBackend};
+/// use glr_sim::{BeaconSnapshot, NeighborEntry, NeighborTables, NodeId, SimTime};
 /// use glr_geometry::Point2;
 ///
-/// let mut t = NeighborTables::new(3, 2.5, TableBackend::Shared);
+/// let mut t = NeighborTables::new(3, 2.5);
 /// let now = SimTime::from_secs(1.0);
 /// let sender = NeighborEntry { id: NodeId(0), pos: Point2::new(0.0, 0.0), heard_at: now };
 /// let snap = BeaconSnapshot::from_entries(&[]);
@@ -217,21 +189,31 @@ pub struct NeighborTables {
     backend: Backend,
 }
 
+/// The production tables, plus (in test builds only) the clone-and-merge
+/// oracle they are checked against.
 #[derive(Debug)]
 enum Backend {
     Shared(SharedTables),
+    #[cfg(test)]
     CloneMerge(CloneTables),
 }
 
 impl NeighborTables {
     /// Creates empty tables for `n_nodes` nodes with the given entry TTL
-    /// (seconds) over the chosen backend.
-    pub fn new(n_nodes: usize, ttl: f64, backend: TableBackend) -> Self {
-        let backend = match backend {
-            TableBackend::Shared => Backend::Shared(SharedTables::new(n_nodes, ttl)),
-            TableBackend::CloneMerge => Backend::CloneMerge(CloneTables::new(n_nodes, ttl)),
-        };
-        NeighborTables { backend }
+    /// (seconds).
+    pub fn new(n_nodes: usize, ttl: f64) -> Self {
+        NeighborTables {
+            backend: Backend::Shared(SharedTables::new(n_nodes, ttl)),
+        }
+    }
+
+    /// The clone-and-merge reference tables the production tables are
+    /// checked against.
+    #[cfg(test)]
+    pub(crate) fn clone_merge(n_nodes: usize, ttl: f64) -> Self {
+        NeighborTables {
+            backend: Backend::CloneMerge(CloneTables::new(n_nodes, ttl)),
+        }
     }
 
     /// The beacon payload for `u` at `now`: its fresh 1-hop table,
@@ -239,6 +221,7 @@ impl NeighborTables {
     pub fn beacon_snapshot(&mut self, u: NodeId, now: SimTime) -> BeaconSnapshot {
         match &mut self.backend {
             Backend::Shared(t) => t.snapshot(u, now),
+            #[cfg(test)]
             Backend::CloneMerge(t) => BeaconSnapshot::new(t.fresh_one_hop(u, now).into()),
         }
     }
@@ -250,6 +233,7 @@ impl NeighborTables {
             Backend::Shared(t) => NeighborsView {
                 entries: t.snapshot(u, now).entries,
             },
+            #[cfg(test)]
             Backend::CloneMerge(t) => t.fresh_one_hop(u, now).into(),
         }
     }
@@ -261,6 +245,7 @@ impl NeighborTables {
     pub fn fresh_view(&mut self, u: NodeId, now: SimTime) -> NeighborsView {
         match &mut self.backend {
             Backend::Shared(t) => t.fresh_view(u, now),
+            #[cfg(test)]
             Backend::CloneMerge(t) => t.fresh_view(u, now).into(),
         }
     }
@@ -275,8 +260,8 @@ impl NeighborTables {
     /// Entries handed to the tables must be *deterministic*: two entries
     /// for the same `(id, heard_at)` must be identical (the engine
     /// guarantees this — an entry always carries the node's true
-    /// position at `heard_at`). The backends may otherwise disagree on
-    /// freshest-wins ties.
+    /// position at `heard_at`). The test-only reference tables may
+    /// otherwise disagree on freshest-wins ties.
     pub fn record_beacon(
         &mut self,
         receiver: NodeId,
@@ -286,6 +271,7 @@ impl NeighborTables {
     ) -> bool {
         match &mut self.backend {
             Backend::Shared(t) => t.record_beacon(receiver, sender, snapshot, now),
+            #[cfg(test)]
             Backend::CloneMerge(t) => t.record_beacon(receiver, sender, snapshot.entries(), now),
         }
     }
@@ -297,21 +283,8 @@ impl NeighborTables {
     pub fn footprint(&self) -> TableFootprint {
         match &self.backend {
             Backend::Shared(t) => t.footprint(),
+            #[cfg(test)]
             Backend::CloneMerge(t) => t.footprint(),
-        }
-    }
-
-    /// What the same live content would occupy under the PR-4 layout
-    /// (fat snapshot handles, inline view caches, wide sweep counters)
-    /// — the baseline the footprint telemetry reports its savings
-    /// against, in the mould of
-    /// [`glr_mobility::DeploymentArena::vec_equivalent_bytes`]. For the
-    /// [`TableBackend::CloneMerge`] reference backend (whose layout is
-    /// unchanged) this equals [`NeighborTables::footprint`]'s total.
-    pub fn baseline_footprint_bytes(&self) -> usize {
-        match &self.backend {
-            Backend::Shared(t) => t.baseline_equivalent_bytes(),
-            Backend::CloneMerge(t) => t.footprint().total_bytes(),
         }
     }
 
@@ -322,13 +295,14 @@ impl NeighborTables {
     pub fn heard_frame(&mut self, receiver: NodeId, entry: NeighborEntry) {
         match &mut self.backend {
             Backend::Shared(t) => t.heard_frame(receiver, entry),
+            #[cfg(test)]
             Backend::CloneMerge(t) => t.heard_frame(receiver, entry),
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Shared backend
+// Shared tables
 // ---------------------------------------------------------------------------
 
 /// Sweep a node's table once this many mutations have accumulated (and
@@ -656,53 +630,6 @@ impl SharedTables {
             snapshot_bytes: snapshots.values().sum(),
         }
     }
-
-    /// What the same live content would occupy under the PR-4 layout —
-    /// fat 24-byte snapshot handles stored per `(node, peer)` pair,
-    /// view caches inline in the hot per-node struct, `usize`/`u64`
-    /// sweep counters. The baseline for the footprint telemetry, in the
-    /// mould of [`glr_mobility::DeploymentArena::vec_equivalent_bytes`].
-    fn baseline_equivalent_bytes(&self) -> usize {
-        // Sizes of the replaced layout, from its definitions:
-        // NodeTable {order Vec 24, peers HashMap 48, gc_horizon 8,
-        //   ops usize 8, gen u64 8,
-        //   one_cache Option<(SimTime, u64, BeaconSnapshot{Arc,f64})> 40,
-        //   view_cache Option<(SimTime, u64, NeighborsView)> 32} = 168;
-        // peer-map entry (NodeId, PeerState{slot u32, snap Option<{Arc
-        //   16, max_heard 8}>}) = 40.
-        const OLD_NODE_TABLE: usize = 168;
-        const OLD_PEER_ENTRY: usize = 40;
-        let mut bytes = self.nodes.capacity() * OLD_NODE_TABLE;
-        let mut snapshots: HashMap<*const NeighborEntry, usize> = HashMap::new();
-        let mut note = |entries: &Arc<[NeighborEntry]>| {
-            snapshots.insert(
-                entries.as_ptr(),
-                entries.len() * std::mem::size_of::<NeighborEntry>() + ARC_SLICE_HEADER,
-            );
-        };
-        for t in &self.nodes {
-            bytes += t.order.capacity() * std::mem::size_of::<NeighborEntry>()
-                + map_heap_bytes(t.peers.capacity(), OLD_PEER_ENTRY);
-            for st in t.peers.values() {
-                if let Some(snap) = &st.snap {
-                    note(&snap.entries);
-                }
-            }
-        }
-        // The old layout's inline one_cache/view_cache fields held the
-        // same interned allocations the split-out caches hold now —
-        // count them so both sides of the comparison cover identical
-        // content (the struct bytes are already in OLD_NODE_TABLE).
-        for c in &self.caches {
-            if let Some((_, _, snap)) = &c.one {
-                note(&snap.entries);
-            }
-            if let Some((_, _, view)) = &c.view {
-                note(&view.entries);
-            }
-        }
-        bytes + snapshots.values().sum::<usize>()
-    }
 }
 
 /// `ArcInner` bookkeeping preceding an `Arc<[T]>`'s payload (strong +
@@ -723,7 +650,7 @@ fn map_heap_bytes(capacity: usize, entry: usize) -> usize {
 /// Heap-memory telemetry for [`NeighborTables`] — the per-node
 /// protocol-state counterpart of
 /// [`glr_mobility::DeploymentArena::heap_bytes`], reported by the
-/// `neighbor_footprint` bench rows at 100k nodes.
+/// `neighbor_footprint` bench row at 100k nodes.
 #[derive(Debug, Clone, Copy)]
 pub struct TableFootprint {
     /// Number of per-node tables.
@@ -749,11 +676,12 @@ impl TableFootprint {
 }
 
 // ---------------------------------------------------------------------------
-// Clone-merge reference backend
+// Clone-merge reference (test oracle)
 // ---------------------------------------------------------------------------
 
 /// The original clone-and-merge implementation: `Vec`-scanned tables,
 /// per-reception entry-by-entry merges and eager expiry.
+#[cfg(test)]
 #[derive(Debug)]
 struct CloneTables {
     one_hop: Vec<Vec<NeighborEntry>>,
@@ -762,6 +690,7 @@ struct CloneTables {
     ttl: f64,
 }
 
+#[cfg(test)]
 impl CloneTables {
     fn new(n_nodes: usize, ttl: f64) -> Self {
         CloneTables {
@@ -866,7 +795,14 @@ impl CloneTables {
 mod tests {
     use super::*;
 
-    const BACKENDS: [TableBackend; 2] = [TableBackend::Shared, TableBackend::CloneMerge];
+    /// Builds empty tables from a node count and an entry TTL.
+    type Ctor = fn(usize, f64) -> NeighborTables;
+
+    /// The production tables and the clone-and-merge oracle, by name.
+    const BACKENDS: [(&str, Ctor); 2] = [
+        ("shared", NeighborTables::new),
+        ("clone-merge", NeighborTables::clone_merge),
+    ];
 
     fn entry(id: u32, at: f64) -> NeighborEntry {
         NeighborEntry {
@@ -893,7 +829,7 @@ mod tests {
 
     #[test]
     fn footprint_counts_shared_snapshots_once() {
-        let mut t = NeighborTables::new(4, 100.0, TableBackend::Shared);
+        let mut t = NeighborTables::new(4, 100.0);
         let now = SimTime::from_secs(5.0);
         t.record_beacon(NodeId(0), entry(2, 4.0), &snap(&[]), now);
         let s = t.beacon_snapshot(NodeId(0), now);
@@ -905,23 +841,15 @@ mod tests {
         }
         let after = t.footprint().snapshot_bytes;
         assert_eq!(before, after);
-        // And the compact layout must beat its PR-4 equivalent.
-        let fp = t.footprint();
-        assert!(
-            fp.total_bytes() < t.baseline_footprint_bytes(),
-            "current {} vs baseline {}",
-            fp.total_bytes(),
-            t.baseline_footprint_bytes()
-        );
     }
 
     #[test]
     fn beacons_fill_tables_and_expire() {
-        for backend in BACKENDS {
-            let mut t = NeighborTables::new(3, 2.5, backend);
+        for (backend, new) in BACKENDS {
+            let mut t = new(3, 2.5);
             let now = SimTime::from_secs(10.0);
             let fresh = t.record_beacon(NodeId(1), entry(0, 10.0), &snap(&[entry(2, 9.5)]), now);
-            assert!(!fresh, "first contact must not be fresh ({backend:?})");
+            assert!(!fresh, "first contact must not be fresh ({backend})");
             assert_eq!(t.fresh_one_hop(NodeId(1), now).len(), 1);
             assert_eq!(t.fresh_view(NodeId(1), now).len(), 2);
             // Second beacon inside the TTL: already fresh.
@@ -936,8 +864,8 @@ mod tests {
 
     #[test]
     fn fresh_view_dedups_freshest_wins() {
-        for backend in BACKENDS {
-            let mut t = NeighborTables::new(3, 100.0, backend);
+        for (backend, new) in BACKENDS {
+            let mut t = new(3, 100.0);
             let now = SimTime::from_secs(10.0);
             // Node 2 known both directly (older) and via the snapshot (newer).
             t.record_beacon(NodeId(0), entry(2, 5.0), &snap(&[]), now);
@@ -945,27 +873,29 @@ mod tests {
             let view = t.fresh_view(NodeId(0), now);
             assert_eq!(view.len(), 2);
             let e2 = view.iter().find(|e| e.id == NodeId(2)).unwrap();
-            assert_eq!(e2.heard_at, SimTime::from_secs(8.0), "{backend:?}");
+            assert_eq!(e2.heard_at, SimTime::from_secs(8.0), "{backend}");
         }
     }
 
     #[test]
     fn snapshot_skips_the_receiver_itself() {
-        for backend in BACKENDS {
-            let mut t = NeighborTables::new(2, 100.0, backend);
+        for (backend, new) in BACKENDS {
+            let mut t = new(2, 100.0);
             let now = SimTime::from_secs(1.0);
             t.record_beacon(NodeId(1), entry(0, 1.0), &snap(&[entry(1, 0.5)]), now);
-            assert!(t
-                .fresh_view(NodeId(1), now)
-                .iter()
-                .all(|e| e.id != NodeId(1)));
+            assert!(
+                t.fresh_view(NodeId(1), now)
+                    .iter()
+                    .all(|e| e.id != NodeId(1)),
+                "{backend}"
+            );
         }
     }
 
     #[test]
     fn heard_frame_refreshes_without_gc() {
-        for backend in BACKENDS {
-            let mut t = NeighborTables::new(2, 2.5, backend);
+        for (backend, new) in BACKENDS {
+            let mut t = new(2, 2.5);
             t.heard_frame(NodeId(1), entry(0, 1.0));
             t.heard_frame(NodeId(1), entry(0, 2.0));
             let got = t.fresh_one_hop(NodeId(1), SimTime::from_secs(2.0));
@@ -974,13 +904,13 @@ mod tests {
             // Stale upsert does not regress the entry.
             t.heard_frame(NodeId(1), entry(0, 1.5));
             let got = t.fresh_one_hop(NodeId(1), SimTime::from_secs(2.0));
-            assert_eq!(got[0].heard_at, SimTime::from_secs(2.0), "{backend:?}");
+            assert_eq!(got[0].heard_at, SimTime::from_secs(2.0), "{backend}");
         }
     }
 
     #[test]
     fn beacon_snapshot_is_shared_not_copied() {
-        let mut t = NeighborTables::new(4, 100.0, TableBackend::Shared);
+        let mut t = NeighborTables::new(4, 100.0);
         let now = SimTime::from_secs(5.0);
         t.record_beacon(NodeId(0), entry(2, 4.0), &snap(&[]), now);
         let s = t.beacon_snapshot(NodeId(0), now);
@@ -998,7 +928,7 @@ mod tests {
 
     #[test]
     fn views_are_cached_per_time_and_invalidated_on_mutation() {
-        let mut t = NeighborTables::new(3, 100.0, TableBackend::Shared);
+        let mut t = NeighborTables::new(3, 100.0);
         let now = SimTime::from_secs(1.0);
         t.record_beacon(NodeId(1), entry(0, 1.0), &snap(&[entry(2, 0.5)]), now);
         let a = t.fresh_view(NodeId(1), now);
@@ -1022,8 +952,8 @@ mod tests {
     /// arrived after it expired), a re-contact appends at the end.
     #[test]
     fn revived_contact_reorders_like_the_reference() {
-        for backend in BACKENDS {
-            let mut t = NeighborTables::new(4, 2.5, backend);
+        for (backend, new) in BACKENDS {
+            let mut t = new(4, 2.5);
             // Contacts 1 then 2.
             t.record_beacon(
                 NodeId(0),
@@ -1056,7 +986,7 @@ mod tests {
                 .iter()
                 .map(|e| e.id)
                 .collect();
-            assert_eq!(ids, vec![NodeId(2), NodeId(1)], "{backend:?}");
+            assert_eq!(ids, vec![NodeId(2), NodeId(1)], "{backend}");
         }
     }
 
@@ -1064,8 +994,8 @@ mod tests {
     /// keeps its original slot — in both backends.
     #[test]
     fn stale_refresh_without_gc_keeps_position() {
-        for backend in BACKENDS {
-            let mut t = NeighborTables::new(4, 2.5, backend);
+        for (backend, new) in BACKENDS {
+            let mut t = new(4, 2.5);
             t.record_beacon(
                 NodeId(0),
                 entry(1, 1.0),
@@ -1087,7 +1017,7 @@ mod tests {
                 .iter()
                 .map(|e| e.id)
                 .collect();
-            assert_eq!(ids, vec![NodeId(1), NodeId(2)], "{backend:?}");
+            assert_eq!(ids, vec![NodeId(1), NodeId(2)], "{backend}");
         }
     }
 
@@ -1095,8 +1025,8 @@ mod tests {
     /// swept tables identical to the eager reference.
     #[test]
     fn sweeping_is_unobservable_under_churn() {
-        let mut shared = NeighborTables::new(8, 2.5, TableBackend::Shared);
-        let mut reference = NeighborTables::new(8, 2.5, TableBackend::CloneMerge);
+        let mut shared = NeighborTables::new(8, 2.5);
+        let mut reference = NeighborTables::clone_merge(8, 2.5);
         let mut t = 0.0f64;
         for step in 0u32..600 {
             t += 0.1 + (step % 7) as f64 * 0.05;

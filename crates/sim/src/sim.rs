@@ -8,8 +8,7 @@
 //! * [`crate::world`] — shared world state: clock, piecewise-linear node
 //!   mobility (sampled lazily from trajectories), the spatial index, the
 //!   run RNG, and statistics;
-//! * [`crate::space`] — grid-indexed proximity queries with a linear-scan
-//!   reference backend;
+//! * [`crate::space`] — grid-indexed proximity queries;
 //! * [`crate::medium`] — the pluggable radio/PHY layer
 //!   ([`ContentionMedium`] by default: FIFO transmit queues,
 //!   serialisation, carrier-sense backoff, ARQ, probabilistic collision
@@ -26,8 +25,7 @@
 //! Protocols implement [`Protocol`] and interact with the world through
 //! [`Ctx`]. All randomness flows from the seed in [`crate::SimConfig`],
 //! so a run is a pure function of `(config, workload, protocol, seed)`
-//! — under either spatial-index backend, either neighbour-table
-//! backend, and any conforming medium.
+//! under any conforming medium.
 
 use crate::config::SimConfig;
 use crate::event::{EventKind, EventQueue};
@@ -144,9 +142,9 @@ impl<'a, Pk: Clone + std::fmt::Debug> Ctx<'a, Pk> {
     /// neighbour's last beacon, so up to `beacon_interval` stale).
     ///
     /// The returned [`NeighborsView`] derefs to `[NeighborEntry]` and
-    /// iterates by value like the `Vec` it replaced; under the default
-    /// [`crate::TableBackend::Shared`] repeated calls within one event
-    /// are `Arc` clones of a cached snapshot, not fresh allocations.
+    /// iterates by value like the `Vec` it replaced; repeated calls
+    /// within one event are `Arc` clones of a cached snapshot, not fresh
+    /// allocations.
     pub fn neighbors(&mut self) -> NeighborsView {
         self.core.tables.fresh_one_hop(self.me, self.core.world.now)
     }
@@ -345,7 +343,7 @@ impl<P: Protocol> Simulation<P> {
         let message_ids = (0..workload.len())
             .map(|i| workload.message_id(i))
             .collect();
-        let tables = NeighborTables::new(n, config.neighbor_ttl, config.neighbor_tables);
+        let tables = NeighborTables::new(n, config.neighbor_ttl);
         let core = Core {
             world: World::new(config, trajectories, rng),
             events: EventQueue::new(),
@@ -386,8 +384,8 @@ impl<P: Protocol> Simulation<P> {
     /// Like [`Simulation::run`], additionally handing the finished
     /// simulation to `inspect` before it is torn down — the hook for
     /// end-of-run telemetry that is not part of [`RunStats`] (and must
-    /// not be, since `RunStats` equality underpins the backend
-    /// equivalence guarantees), such as
+    /// not be, since `RunStats` equality is what the reference-oracle
+    /// equivalence tests compare), such as
     /// [`Simulation::neighbor_footprint`].
     pub fn run_inspect(mut self, inspect: impl FnOnce(&Self)) -> RunStats {
         let duration = self.core.world.config.sim_duration;
@@ -466,13 +464,6 @@ impl<P: Protocol> Simulation<P> {
     /// state) — read it at end of run via [`Simulation::run_inspect`].
     pub fn neighbor_footprint(&self) -> TableFootprint {
         self.core.tables.footprint()
-    }
-
-    /// What the neighbour tables' live content would occupy under the
-    /// PR-4 memory layout — the baseline for
-    /// [`Simulation::neighbor_footprint`].
-    pub fn neighbor_footprint_baseline(&self) -> usize {
-        self.core.tables.baseline_footprint_bytes()
     }
 
     fn handle_beacon(&mut self, u: NodeId) {
@@ -579,6 +570,24 @@ impl<P: Protocol> Simulation<P> {
             p.on_message_created(ctx, info)
         });
     }
+
+    /// Swaps in the linear-scan reference index (call before
+    /// [`Simulation::run`]).
+    #[cfg(test)]
+    pub(crate) fn with_linear_scan_index(mut self) -> Self {
+        let n = self.core.world.config.n_nodes;
+        self.core.world.index = crate::space::SpatialIndex::linear_scan(n);
+        self
+    }
+
+    /// Swaps in the clone-and-merge reference neighbour tables (call
+    /// before [`Simulation::run`]).
+    #[cfg(test)]
+    pub(crate) fn with_clone_merge_tables(mut self) -> Self {
+        let config = &self.core.world.config;
+        self.core.tables = NeighborTables::clone_merge(config.n_nodes, config.neighbor_ttl);
+        self
+    }
 }
 
 #[cfg(test)]
@@ -680,25 +689,17 @@ mod tests {
 
     #[test]
     fn grid_and_linear_scan_agree_exactly() {
-        // The same seeds under both spatial-index backends must produce
-        // bit-identical statistics (the grid is an exact index, not an
-        // approximation).
+        // The same seeds with the grid index and with the linear-scan
+        // oracle must produce bit-identical statistics (the grid is an
+        // exact index, not an approximation).
         for seed in [5u64, 21, 99] {
             let wl = Workload::paper_style(50, 40, 1000);
             let cfg = SimConfig::paper(150.0, seed).with_duration(90.0);
-            let grid = Simulation::new(
-                cfg.clone().with_neighbor_index(crate::IndexBackend::Grid),
-                wl.clone(),
-                |_, _| DirectSend,
-            )
-            .run();
-            let linear = Simulation::new(
-                cfg.with_neighbor_index(crate::IndexBackend::LinearScan),
-                wl,
-                |_, _| DirectSend,
-            )
-            .run();
-            assert_eq!(grid, linear, "backends diverged at seed {seed}");
+            let grid = Simulation::new(cfg.clone(), wl.clone(), |_, _| DirectSend).run();
+            let linear = Simulation::new(cfg, wl, |_, _| DirectSend)
+                .with_linear_scan_index()
+                .run();
+            assert_eq!(grid, linear, "grid and linear scan diverged at seed {seed}");
         }
     }
 

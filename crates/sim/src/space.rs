@@ -13,10 +13,12 @@
 //! `max_speed · (t' - t)` metres from its indexed position. Querying the
 //! grid with the radius *inflated by that drift* yields a candidate
 //! superset, which is then filtered by each candidate's exact position at
-//! `t'` — using the *same* distance predicate as the linear scan. Both
-//! backends therefore return exactly the same node sets, and a
-//! simulation's `RunStats` is bit-identical under either (asserted by
-//! `tests/grid_equivalence.rs`).
+//! `t'` — using the *same* distance predicate as a linear scan over all
+//! nodes. The index therefore returns exactly the node sets a linear scan
+//! returns. The query-level proptests in `tests/grid_equivalence.rs` check
+//! this against a plain scan, and the crate's test-only equivalence suite
+//! checks that full simulation runs give bit-identical `RunStats` when a
+//! test-only linear-scan oracle replaces the grid.
 //!
 //! The grid is rebuilt only when the accumulated drift exceeds a fixed
 //! fraction of the cell size, amortising the `O(n)` rebuild over many
@@ -27,18 +29,6 @@ use crate::ids::NodeId;
 use crate::time::SimTime;
 use glr_geometry::{Grid, Point2};
 use glr_mobility::DeploymentArena;
-
-/// Which data structure backs the engine's neighbor queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IndexBackend {
-    /// Uniform spatial grid with drift-compensated lazy rebuilds —
-    /// `O(cell occupancy)` per query. The default.
-    #[default]
-    Grid,
-    /// Exhaustive scan over all nodes — `O(n)` per query. Kept as the
-    /// reference implementation the grid is validated against.
-    LinearScan,
-}
 
 /// Extra metres added to the drift bound to absorb floating-point
 /// accumulation in trajectory interpolation. Candidates are over-included
@@ -58,10 +48,14 @@ const SLACK_FRACTION: f64 = 0.1;
 /// A drift-compensated spatial index over the deployment's interned
 /// trajectory arena.
 ///
+/// Queries must follow a [`SpatialIndex::refresh`]: an index that was
+/// never refreshed has no grid and answers every query by a full scan
+/// over all `n` nodes.
+///
 /// # Examples
 ///
 /// ```
-/// use glr_sim::{IndexBackend, NodeId, SimTime, SpatialIndex};
+/// use glr_sim::{NodeId, SimTime, SpatialIndex};
 /// use glr_geometry::Point2;
 /// use glr_mobility::{DeploymentArena, Trajectory};
 ///
@@ -70,7 +64,7 @@ const SLACK_FRACTION: f64 = 0.1;
 ///     Trajectory::stationary(Point2::new(30.0, 0.0)),
 ///     Trajectory::stationary(Point2::new(500.0, 0.0)),
 /// ]);
-/// let mut idx = SpatialIndex::new(IndexBackend::Grid, arena.len(), 0.0, 100.0);
+/// let mut idx = SpatialIndex::new(arena.len(), 0.0, 100.0);
 /// let t = SimTime::ZERO;
 /// idx.refresh(t, &arena);
 /// let near = idx.nodes_within(&arena, t, Point2::new(0.0, 0.0), 50.0, NodeId(0));
@@ -78,7 +72,6 @@ const SLACK_FRACTION: f64 = 0.1;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SpatialIndex {
-    backend: IndexBackend,
     n: usize,
     /// Preferred cell size (the query radius); widened per rebuild when
     /// the deployment is so spread out that radius-sized cells would
@@ -86,7 +79,8 @@ pub struct SpatialIndex {
     cell: f64,
     max_speed: f64,
     /// Rebuild once drift exceeds this many metres; derived from the
-    /// effective cell size of the last rebuild.
+    /// effective cell size of the last rebuild, and `-∞` until the first
+    /// refresh builds the grid.
     slack_limit: f64,
     built_at: SimTime,
     positions: Vec<Point2>,
@@ -101,7 +95,7 @@ impl SpatialIndex {
     ///
     /// Panics if `cell_size` is not strictly positive and finite or
     /// `max_speed` is negative.
-    pub fn new(backend: IndexBackend, n: usize, max_speed: f64, cell_size: f64) -> Self {
+    pub fn new(n: usize, max_speed: f64, cell_size: f64) -> Self {
         assert!(
             cell_size.is_finite() && cell_size > 0.0,
             "cell size must be positive and finite, got {cell_size}"
@@ -111,11 +105,10 @@ impl SpatialIndex {
             "max speed must be finite and non-negative, got {max_speed}"
         );
         SpatialIndex {
-            backend,
             n,
             cell: cell_size,
             max_speed,
-            slack_limit: cell_size * SLACK_FRACTION,
+            slack_limit: f64::NEG_INFINITY,
             built_at: SimTime::ZERO,
             positions: Vec::new(),
             grid: None,
@@ -135,12 +128,18 @@ impl SpatialIndex {
         // candidates for the exact filter), while the CSR grid keeps the
         // larger cell count cheap to rebuild and walk. Purely a
         // performance choice — any cell size returns the same sets.
-        SpatialIndex::new(
-            config.neighbor_index,
-            config.n_nodes,
-            max_speed,
-            config.radio_range * 0.5,
-        )
+        SpatialIndex::new(config.n_nodes, max_speed, config.radio_range * 0.5)
+    }
+
+    /// The linear-scan reference the grid is checked against: an index
+    /// whose refresh never builds a grid, so every query scans all `n`
+    /// nodes with the same exact predicate.
+    #[cfg(test)]
+    pub(crate) fn linear_scan(n: usize) -> Self {
+        SpatialIndex {
+            slack_limit: f64::INFINITY,
+            ..SpatialIndex::new(n, 0.0, 1.0)
+        }
     }
 
     /// Metres any node may have moved since the grid snapshot at `now`.
@@ -148,15 +147,12 @@ impl SpatialIndex {
         self.max_speed * (now.as_secs() - self.built_at.as_secs()).max(0.0) + DRIFT_EPSILON
     }
 
-    /// Brings the index up to date for queries at `now`: rebuilds the
-    /// grid snapshot when the drift bound has outgrown its slack. A no-op
-    /// for the linear backend.
+    /// Brings the index up to date for queries at `now`: builds the grid
+    /// snapshot on the first call, and rebuilds it when the drift bound
+    /// has outgrown its slack.
     pub fn refresh(&mut self, now: SimTime, arena: &DeploymentArena) {
-        if self.backend == IndexBackend::LinearScan {
-            return;
-        }
         debug_assert_eq!(arena.len(), self.n, "trajectory count changed");
-        if self.grid.is_some() && self.drift(now) <= self.slack_limit {
+        if self.drift(now) <= self.slack_limit {
             return;
         }
         let t = now.as_secs();
@@ -185,9 +181,9 @@ impl SpatialIndex {
     /// `except`, in ascending id order — exactly the set a linear scan
     /// over true positions returns.
     ///
-    /// With the grid backend, [`SpatialIndex::refresh`] must have been
-    /// called at a time `≤ now` (the engine refreshes at the top of every
-    /// query; the drift bound keeps any `now ≥ built_at` correct).
+    /// [`SpatialIndex::refresh`] must have been called at a time `≤ now`
+    /// (the engine refreshes at the top of every query; the drift bound
+    /// keeps any `now ≥ built_at` correct).
     pub fn nodes_within(
         &self,
         arena: &DeploymentArena,
@@ -248,21 +244,20 @@ impl SpatialIndex {
         mut f: impl FnMut(NodeId),
     ) {
         let t = now.as_secs();
-        // The exact membership predicate — identical for both backends
-        // (and to the historical linear scan), so the backends can never
-        // disagree on boundary cases.
+        // The exact membership predicate — the same test a linear scan
+        // applies, so grid and scan can never disagree on boundary cases.
         let mut exact = |v: NodeId| {
             if v != except && arena.position_at(v.index(), t).dist(center) <= range {
                 f(v);
             }
         };
-        match (&self.grid, self.backend) {
-            (Some(grid), IndexBackend::Grid) => {
+        match &self.grid {
+            Some(grid) => {
                 grid.for_each_within(&self.positions, center, range + self.drift(now), |i| {
                     exact(NodeId(i as u32))
                 });
             }
-            _ => {
+            None => {
                 for i in 0..self.n as u32 {
                     exact(NodeId(i));
                 }
@@ -305,11 +300,13 @@ mod tests {
                 a.dist(b) / 100.0
             })
             .fold(0.0, f64::max);
-        let mut grid = SpatialIndex::new(IndexBackend::Grid, 4, max_speed, 100.0);
-        let linear = SpatialIndex::new(IndexBackend::LinearScan, 4, max_speed, 100.0);
+        let mut grid = SpatialIndex::new(4, max_speed, 100.0);
+        let mut linear = SpatialIndex::linear_scan(4);
         // Refresh once at t=0, then query later times without refreshing:
         // the drift inflation must keep results exact.
         grid.refresh(SimTime::ZERO, &trajs);
+        linear.refresh(SimTime::ZERO, &trajs);
+        assert!(linear.grid.is_none(), "the linear-scan oracle built a grid");
         for secs in [0.0, 1.0, 3.0, 7.0, 20.0, 55.0, 99.0] {
             let now = SimTime::from_secs(secs);
             for r in [30.0, 100.0, 250.0] {
@@ -329,7 +326,7 @@ mod tests {
         // 1 m/s, 100 m cells → slack of SLACK_FRACTION·100 m, reached
         // after SLACK_FRACTION·100 seconds.
         let slack_secs = 100.0 * SLACK_FRACTION;
-        let mut idx = SpatialIndex::new(IndexBackend::Grid, 2, 1.0, 100.0);
+        let mut idx = SpatialIndex::new(2, 1.0, 100.0);
         idx.refresh(SimTime::ZERO, &trajs);
         let built = idx.built_at;
         idx.refresh(SimTime::from_secs(slack_secs * 0.5), &trajs);
@@ -345,7 +342,7 @@ mod tests {
             (10.0, 0.0, 10.0, 0.0),
             (20.0, 0.0, 20.0, 0.0),
         ]);
-        let mut idx = SpatialIndex::new(IndexBackend::Grid, 3, 0.0, 50.0);
+        let mut idx = SpatialIndex::new(3, 0.0, 50.0);
         idx.refresh(SimTime::ZERO, &trajs);
         let n = idx.count_within(
             &trajs,

@@ -158,35 +158,6 @@ fn partitioned_static_pair_is_undeliverable_for_both() {
 }
 
 #[test]
-fn grid_index_is_exact_for_the_full_glr_stack() {
-    // The grid-backed spatial index must be a pure optimisation: the
-    // complete protocol stack (GLR with custody, location diffusion and
-    // face routing over the contention medium) produces bit-identical
-    // statistics under both backends.
-    use glr::sim::IndexBackend;
-    for seed in [3u64, 17] {
-        let cfg = SimConfig::paper(100.0, seed).with_duration(300.0);
-        let wl = Workload::paper_style(50, 80, 1000);
-        let grid = Simulation::new(
-            cfg.clone().with_neighbor_index(IndexBackend::Grid),
-            wl.clone(),
-            Glr::new,
-        )
-        .run();
-        let linear = Simulation::new(
-            cfg.with_neighbor_index(IndexBackend::LinearScan),
-            wl,
-            Glr::new,
-        )
-        .run();
-        assert_eq!(
-            grid, linear,
-            "GLR stack diverged across backends at seed {seed}"
-        );
-    }
-}
-
-#[test]
 fn parallel_multi_run_matches_serial_for_glr() {
     use glr::sim::MultiRun;
     let cfg = SimConfig::paper(200.0, 21).with_duration(120.0);
