@@ -1,8 +1,7 @@
 //! Whole-engine benchmarks for the single-run scaling work: the dense
-//! 10k-node beacon workload (the regime PR 4's flat arena, batched
-//! delivery and single-probe tables target), the 100k-node paper-density
-//! tier, and the deployment memory footprint (arena vs
-//! `Vec<Trajectory>`).
+//! 10k-node beacon workload (the regime the flat trajectory arena and
+//! the single-probe tables target), the 100k-node paper-density tier,
+//! and the deployment arena's build time and memory footprint.
 //!
 //! The dense group grows node density with `√n` (region scaled by
 //! `(n/50)^0.25`), the regime where every beacon fans out to ~50
@@ -85,10 +84,10 @@ fn bench_engine_100k(c: &mut Criterion) {
     g.finish();
 }
 
-/// Deployment memory footprint: bytes per node of the interned arena vs
-/// the per-node `Vec<Trajectory>` it replaced, printed for the committed
-/// artefact's note (the criterion shim reports times, not sizes, so the
-/// bench measures the interning pass and prints the byte counts).
+/// Deployment memory footprint: bytes per node of the interned arena,
+/// printed for the committed artefact (the criterion shim reports times,
+/// not sizes, so the bench measures the interning pass and prints the
+/// byte counts).
 fn bench_deployment_footprint(c: &mut Criterion) {
     let mut g = c.benchmark_group("deployment_intern");
     for n in [10_000usize, 100_000] {
@@ -101,13 +100,10 @@ fn bench_deployment_footprint(c: &mut Criterion) {
         let trajs = model.deployment(region, n, 3800.0, &mut rng);
         let arena = DeploymentArena::from_trajectories(&trajs);
         println!(
-            "deployment_footprint/{n}: arena {} B ({} B/node, {} keyframes), \
-             Vec<Trajectory> {} B ({} B/node)",
+            "deployment_footprint/{n}: arena {} B ({} B/node, {} keyframes)",
             arena.heap_bytes(),
             arena.heap_bytes() / n,
             arena.total_keyframes(),
-            DeploymentArena::vec_equivalent_bytes(&trajs),
-            DeploymentArena::vec_equivalent_bytes(&trajs) / n,
         );
         g.bench_function(BenchmarkId::new("arena_build", n), |b| {
             b.iter(|| DeploymentArena::from_trajectories(black_box(&trajs)).total_keyframes())

@@ -1,8 +1,7 @@
 //! Isolated benchmarks of the engine's event queue: the hand-rolled
 //! 4-ary [`TimedQueue`] vs the `BinaryHeap<Reverse<…>>` it replaced,
 //! under the engine's actual access pattern — a standing population of
-//! events where every pop schedules a successor (the beacon cycle) —
-//! plus the same-tick `drain_due` batch pop.
+//! events where every pop schedules a successor (the beacon cycle).
 //!
 //! Regenerate the committed artefact with:
 //!
@@ -78,31 +77,5 @@ fn bench_churn(c: &mut Criterion) {
     g.finish();
 }
 
-/// Same-tick batches: schedule `n` events across `n / 8` distinct
-/// timestamps and drain tick by tick into a reused buffer.
-fn bench_drain_due(c: &mut Criterion) {
-    let mut g = c.benchmark_group("event_queue_drain_due");
-    for n in [1_000usize, 100_000] {
-        g.bench_function(BenchmarkId::new("timed_4ary", n), |b| {
-            b.iter(|| {
-                let mut q = TimedQueue::new();
-                for i in 0..n {
-                    q.schedule(SimTime::from_secs((i % (n / 8)) as f64), i as u64);
-                }
-                let mut batch = Vec::new();
-                let mut drained = 0usize;
-                while let Some(at) = q.next_at() {
-                    batch.clear();
-                    q.drain_due(at, &mut batch);
-                    drained += batch.len();
-                }
-                assert_eq!(drained, n);
-                drained
-            })
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(event_queue, bench_churn, bench_drain_due);
+criterion_group!(event_queue, bench_churn);
 criterion_main!(event_queue);

@@ -33,9 +33,7 @@
 //! the paper's protocol). All values print as `mean ± 90 % CI` like the
 //! paper's tables.
 
-use glr_bench::{
-    execute_cells, fmt_summary, header, plot_data, row, svg_topology, Cell, Effort, Series,
-};
+use glr_bench::{execute_cells, header, plot_data, row, svg_topology, Cell, Effort, Series};
 use glr_core::{CopyPolicy, GlrConfig, LocationMode, SpannerMode};
 use glr_geometry::{
     euclidean_stretch, extract_dstd_path, k_ldtg, unit_disk_graph, DstdKind, Point2,
@@ -353,9 +351,9 @@ fn merge_main(args: &[String]) {
             &cell.label,
             &[
                 format!("{}", cell.runs.len()),
-                fmt_summary(cell.delivery_pct(), 1),
-                fmt_summary(cell.avg_hops(), 2),
-                fmt_summary(cell.max_peak_storage(), 1),
+                cell.delivery_pct().display(1),
+                cell.avg_hops().display(2),
+                cell.max_peak_storage().display(1),
             ],
         );
     }
@@ -410,11 +408,11 @@ fn fig1(effort: Effort) {
         row(
             &format!("radius {radius} m"),
             &[
-                fmt_summary(glr_sim::summarize(&edges), 1),
-                fmt_summary(glr_sim::summarize(&comps), 1),
-                fmt_summary(glr_sim::summarize(&connected), 0),
-                fmt_summary(glr_sim::summarize(&ldtg_edges), 1),
-                fmt_summary(glr_sim::summarize(&stretch), 2),
+                glr_sim::summarize(&edges).display(1),
+                glr_sim::summarize(&comps).display(1),
+                glr_sim::summarize(&connected).display(0),
+                glr_sim::summarize(&ldtg_edges).display(1),
+                glr_sim::summarize(&stretch).display(2),
             ],
         );
     }
@@ -471,9 +469,9 @@ fn fig3(effort: Effort) -> Job {
         cells,
         render: Box::new(move |r| {
             vec![
-                fmt_summary(r[0].avg_latency(penalty), 1),
-                fmt_summary(r[0].delivery_pct(), 1),
-                fmt_summary(r[0].metric(|m| m.control_tx as f64), 0),
+                r[0].avg_latency(penalty).display(1),
+                r[0].delivery_pct().display(1),
+                r[0].metric(|m| m.control_tx as f64).display(0),
             ]
         }),
         note: "  (paper: latency 18-25 s; shorter checks => lower latency, more control traffic)",
@@ -527,10 +525,10 @@ fn tab2(effort: Effort) -> Job {
         cells,
         render: Box::new(move |r| {
             vec![
-                fmt_summary(r[0].delivery_pct(), 1),
-                fmt_summary(r[0].avg_latency(penalty), 1),
-                fmt_summary(r[0].avg_hops(), 1),
-                fmt_summary(r[0].avg_peak_storage(), 1),
+                r[0].delivery_pct().display(1),
+                r[0].avg_latency(penalty).display(1),
+                r[0].avg_hops().display(1),
+                r[0].avg_peak_storage().display(1),
             ]
         }),
         note: "  (paper: 100/100/100/99.9 %; 120.2/149.7/156.1/212.4 s; 14.9/17.3/18/23.1 hops; \
@@ -600,10 +598,10 @@ fn fig45(effort: Effort, radius: f64, tag: &'static str) -> Job {
         cells,
         render: Box::new(move |r| {
             vec![
-                fmt_summary(r[0].avg_latency(penalty), 1),
-                fmt_summary(r[0].delivery_pct(), 1),
-                fmt_summary(r[1].avg_latency(penalty), 1),
-                fmt_summary(r[1].delivery_pct(), 1),
+                r[0].avg_latency(penalty).display(1),
+                r[0].delivery_pct().display(1),
+                r[1].avg_latency(penalty).display(1),
+                r[1].delivery_pct().display(1),
             ]
         }),
         note: "  (paper: GLR below epidemic, gap widening as messages increase)",
@@ -642,10 +640,10 @@ fn fig6(effort: Effort) -> Job {
         cells,
         render: Box::new(move |r| {
             vec![
-                fmt_summary(r[0].avg_latency(penalty), 1),
-                fmt_summary(r[0].delivery_pct(), 1),
-                fmt_summary(r[1].avg_latency(penalty), 1),
-                fmt_summary(r[1].delivery_pct(), 1),
+                r[0].avg_latency(penalty).display(1),
+                r[0].delivery_pct().display(1),
+                r[1].avg_latency(penalty).display(1),
+                r[1].delivery_pct().display(1),
             ]
         }),
         note: "  (paper: both fall with radius; GLR below epidemic throughout)",
@@ -678,7 +676,7 @@ fn tab3(effort: Effort) -> Job {
         rows,
         row_span: 1,
         cells,
-        render: Box::new(|r| vec![fmt_summary(r[0].delivery_pct(), 1)]),
+        render: Box::new(|r| vec![r[0].delivery_pct().display(1)]),
         note: "  (paper: 84.7 % without, 97.9 % with)",
         artifact: None,
     }
@@ -709,8 +707,8 @@ fn fig7(effort: Effort) -> Job {
         cells,
         render: Box::new(|r| {
             vec![
-                fmt_summary(r[0].delivery_pct(), 1),
-                fmt_summary(r[1].delivery_pct(), 1),
+                r[0].delivery_pct().display(1),
+                r[1].delivery_pct().display(1),
             ]
         }),
         note: "  (paper: GLR flat near 100 % down to 100 msgs/node; epidemic degrades below 200)",
@@ -740,8 +738,8 @@ fn tab4(effort: Effort) -> Job {
         cells,
         render: Box::new(|r| {
             vec![
-                fmt_summary(r[0].max_peak_storage(), 1),
-                fmt_summary(r[0].avg_peak_storage(), 2),
+                r[0].max_peak_storage().display(1),
+                r[0].avg_peak_storage().display(2),
             ]
         }),
         note: "  (paper: max peak 39->69, avg peak 21.3->43.6; epidemic stores every message)",
@@ -771,8 +769,8 @@ fn tab5(effort: Effort) -> Job {
         cells,
         render: Box::new(|r| {
             vec![
-                fmt_summary(r[0].max_peak_storage(), 1),
-                fmt_summary(r[0].avg_peak_storage(), 2),
+                r[0].max_peak_storage().display(1),
+                r[0].avg_peak_storage().display(2),
             ]
         }),
         note: "  (paper: 6.9/14.3/24.3/48.4/69 max peak — storage grows as radius shrinks)",
@@ -803,12 +801,7 @@ fn tab6(effort: Effort) -> Job {
         rows,
         row_span: 2,
         cells,
-        render: Box::new(|r| {
-            vec![
-                fmt_summary(r[0].avg_hops(), 2),
-                fmt_summary(r[1].avg_hops(), 2),
-            ]
-        }),
+        render: Box::new(|r| vec![r[0].avg_hops().display(2), r[1].avg_hops().display(2)]),
         note: "  (paper: GLR 3.4->17.32, epidemic 3.19->3.92 — GLR takes more hops, gap grows)",
         artifact: None,
     }
@@ -857,14 +850,14 @@ fn media_compare(effort: Effort) -> Job {
         cells,
         render: Box::new(|r| {
             vec![
-                fmt_summary(r[0].delivery_pct(), 1),
-                fmt_summary(r[0].avg_hops(), 2),
-                fmt_summary(r[1].delivery_pct(), 1),
-                fmt_summary(r[1].avg_hops(), 2),
-                fmt_summary(r[2].delivery_pct(), 1),
-                fmt_summary(r[2].avg_hops(), 2),
-                fmt_summary(r[3].delivery_pct(), 1),
-                fmt_summary(r[3].avg_hops(), 2),
+                r[0].delivery_pct().display(1),
+                r[0].avg_hops().display(2),
+                r[1].delivery_pct().display(1),
+                r[1].avg_hops().display(2),
+                r[2].delivery_pct().display(1),
+                r[2].avg_hops().display(2),
+                r[3].delivery_pct().display(1),
+                r[3].avg_hops().display(2),
             ]
         }),
         note: "  (ideal bounds the protocol's best case; shadowing softens the range cliff; \
@@ -900,9 +893,9 @@ fn ablation_spanner(effort: Effort) -> Job {
         cells,
         render: Box::new(move |r| {
             vec![
-                fmt_summary(r[0].avg_latency(penalty), 1),
-                fmt_summary(r[0].delivery_pct(), 1),
-                fmt_summary(r[0].metric(|m| m.data_tx as f64), 0),
+                r[0].avg_latency(penalty).display(1),
+                r[0].delivery_pct().display(1),
+                r[0].metric(|m| m.data_tx as f64).display(0),
             ]
         }),
         note: "",
@@ -950,10 +943,10 @@ fn ablation_copies(effort: Effort) -> Job {
         cells,
         render: Box::new(move |r| {
             vec![
-                fmt_summary(r[0].avg_latency(penalty100), 1),
-                fmt_summary(r[0].delivery_pct(), 1),
-                fmt_summary(r[1].avg_latency(penalty200), 1),
-                fmt_summary(r[1].delivery_pct(), 1),
+                r[0].avg_latency(penalty100).display(1),
+                r[0].delivery_pct().display(1),
+                r[1].avg_latency(penalty200).display(1),
+                r[1].delivery_pct().display(1),
             ]
         }),
         note: "",
@@ -988,9 +981,9 @@ fn ablation_perturb(effort: Effort) -> Job {
         cells,
         render: Box::new(move |r| {
             vec![
-                fmt_summary(r[0].avg_latency(penalty), 1),
-                fmt_summary(r[0].delivery_pct(), 1),
-                fmt_summary(r[0].counter("glr.perturb"), 0),
+                r[0].avg_latency(penalty).display(1),
+                r[0].delivery_pct().display(1),
+                r[0].counter("glr.perturb").display(0),
             ]
         }),
         note: "",

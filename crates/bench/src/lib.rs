@@ -2,8 +2,8 @@
 //!
 //! The `experiments` binary regenerates every table and figure of the
 //! paper; this library holds the pieces it shares with the Criterion
-//! benches: run drivers for both protocols, workload sizing, and
-//! paper-style table printing.
+//! benches: experiment cells and their sweep execution, workload sizing,
+//! and paper-style table printing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,9 +14,7 @@ pub use render::{plot_data, svg_topology, Series};
 
 use glr_core::{Glr, GlrConfig};
 use glr_epidemic::Epidemic;
-use glr_sim::{
-    MultiRun, ReportSet, RunStats, Scenario, SimConfig, Simulation, Summary, Sweep, Workload,
-};
+use glr_sim::{ReportSet, RunStats, Scenario, Sweep};
 
 /// How much simulation an experiment buys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,35 +139,6 @@ pub fn execute_cells(
     ReportSet::from_sweep(&results, |i| cells[i].scenario.label.clone())
 }
 
-/// Runs GLR over `runs` seeds with the given configs and message count.
-pub fn run_glr(sim: &SimConfig, glr: &GlrConfig, messages: usize, runs: usize) -> MultiRun {
-    let glr_cfg = glr.clone();
-    MultiRun::execute(sim, runs, move |cfg| {
-        let wl = Workload::paper_style(cfg.n_nodes, messages, 1000);
-        let factory = Glr::factory(glr_cfg.clone());
-        Simulation::new(cfg, wl, factory).run()
-    })
-}
-
-/// Runs epidemic routing over `runs` seeds.
-pub fn run_epidemic(sim: &SimConfig, messages: usize, runs: usize) -> MultiRun {
-    MultiRun::execute(sim, runs, move |cfg| {
-        let wl = Workload::paper_style(cfg.n_nodes, messages, 1000);
-        Simulation::new(cfg, wl, Epidemic::new).run()
-    })
-}
-
-/// Runs a single GLR simulation (for benches needing one deterministic run).
-pub fn single_glr(sim: SimConfig, glr: GlrConfig, messages: usize) -> RunStats {
-    let wl = Workload::paper_style(sim.n_nodes, messages, 1000);
-    Simulation::new(sim, wl, Glr::factory(glr)).run()
-}
-
-/// Renders `mean ± ci` with sensible precision.
-pub fn fmt_summary(s: Summary, decimals: usize) -> String {
-    format!("{:.*} ± {:.*}", decimals, s.mean, decimals, s.ci90)
-}
-
 /// Prints a table row: a label column then value columns.
 pub fn row(label: &str, cells: &[String]) {
     print!("  {label:<26}");
@@ -193,24 +162,13 @@ pub fn header(title: &str, columns: &[&str]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use glr_sim::SimConfig;
 
     #[test]
     fn effort_scaling() {
         assert_eq!(Effort::FULL.scale(1980), 1980);
         assert_eq!(Effort::QUICK.scale(1980), 495);
         assert_eq!(Effort::QUICK.scale(1), 1);
-    }
-
-    #[test]
-    fn glr_and_epidemic_drivers_run() {
-        let sim = SimConfig::paper(250.0, 42).with_duration(30.0);
-        let g = run_glr(&sim, &GlrConfig::paper(), 5, 2);
-        assert_eq!(g.runs().len(), 2);
-        let e = run_epidemic(&sim, 5, 2);
-        assert_eq!(e.runs().len(), 2);
-        // Both protocols must have injected the workload.
-        assert!(g.runs().iter().all(|r| r.messages_created() == 5));
-        assert!(e.runs().iter().all(|r| r.messages_created() == 5));
     }
 
     #[test]
@@ -237,12 +195,5 @@ mod tests {
         let merged = ReportSet::merge(vec![s1, s0]).expect("disjoint shards");
         assert_eq!(merged, full);
         assert_eq!(merged.to_json(), full.to_json());
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        let s = glr_sim::summarize(&[1.0, 2.0, 3.0]);
-        let txt = fmt_summary(s, 1);
-        assert!(txt.contains("2.0"));
     }
 }

@@ -49,10 +49,9 @@ pub struct DeploymentArena {
     /// span's end is the next span's start (4 B/node saved at 100k).
     offsets: Vec<u32>,
     /// Per node: index (relative to the span) of the segment the last
-    /// `position_at` landed in. A pure search accelerator: reads and
-    /// writes are `Relaxed` and results never depend on its value, so
-    /// concurrent readers (the simulator's parallel reception phase) stay
-    /// deterministic.
+    /// `position_at` landed in. A pure search accelerator: results never
+    /// depend on its value. It is an atomic (`Relaxed` loads and stores)
+    /// so that lookups can update it through a shared `&self`.
     hints: Vec<AtomicU32>,
 }
 
@@ -120,37 +119,11 @@ impl DeploymentArena {
     }
 
     /// Heap footprint of the arena in bytes (keyframe buffer + offsets +
-    /// hints) — the number the deployment-memory telemetry reports
-    /// against the equivalent `Vec<Trajectory>`.
+    /// hints) — the number the deployment-memory telemetry reports.
     pub fn heap_bytes(&self) -> usize {
         self.keyframes.capacity() * std::mem::size_of::<(f64, Point2)>()
             + self.offsets.capacity() * std::mem::size_of::<u32>()
             + self.hints.capacity() * std::mem::size_of::<AtomicU32>()
-    }
-
-    /// Heap footprint in bytes of the equivalent `Vec<Trajectory>`
-    /// representation (one keyframe `Vec` per node plus the outer `Vec`'s
-    /// own array) — the baseline for the arena's memory telemetry.
-    pub fn vec_equivalent_bytes(trajectories: &[Trajectory]) -> usize {
-        std::mem::size_of_val(trajectories)
-            + trajectories
-                .iter()
-                .map(|t| std::mem::size_of_val(t.keyframes()))
-                .sum::<usize>()
-    }
-}
-
-impl Clone for DeploymentArena {
-    fn clone(&self) -> Self {
-        DeploymentArena {
-            keyframes: self.keyframes.clone(),
-            offsets: self.offsets.clone(),
-            hints: self
-                .hints
-                .iter()
-                .map(|h| AtomicU32::new(h.load(Ordering::Relaxed)))
-                .collect(),
-        }
     }
 }
 
@@ -277,8 +250,10 @@ mod tests {
             .map(|i| traj(&[(0.0, (i as f64, 0.0)), (10.0, (i as f64, 5.0))]))
             .collect();
         let arena = DeploymentArena::from_trajectories(&trajs);
-        // One contiguous buffer beats 100 scattered Vecs plus headers.
-        assert!(arena.heap_bytes() < DeploymentArena::vec_equivalent_bytes(&trajs));
+        // One contiguous buffer: the keyframes themselves plus 8 B per
+        // node (offset + hint), where a `Vec` per node costs a 24 B header.
+        let keyframe_bytes = arena.total_keyframes() * std::mem::size_of::<(f64, Point2)>();
+        assert!(arena.heap_bytes() <= keyframe_bytes + 8 * (arena.len() + 1));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!
 //! | module | responsibility |
 //! |---|---|
-//! | [`mod@sim`] | event sequencing: drains same-tick batches, advances the clock, dispatches each event in order on one thread |
+//! | [`mod@sim`] | event sequencing: pops one event at a time, advances the clock, dispatches it on one thread |
 //! | [`mod@medium`] | radio/PHY behind the pluggable [`Medium`] trait: [`ContentionMedium`] (default), [`IdealMedium`], [`ShadowingMedium`], [`DutyCycledMedium`] |
 //! | [`mod@neighbors`] | IMEP beacon sensing: `Arc`-interned beacon snapshots and incrementally merged 1-/2-hop tables with TTL expiry ([`NeighborTables`]) |
 //! | [`mod@space`] | proximity queries: an exact, drift-compensated grid index ([`SpatialIndex`]) |
@@ -32,29 +32,29 @@
 //! | [`mod@scenario`] | declarative experiment cells: [`Scenario`] = config + workload + [`MediumKind`] |
 //! | [`mod@sweep`] | the parameter-sweep engine: work-queue execution of `(cell, run)` units on scoped threads, sharding, deterministic collection |
 //! | [`mod@report`] | shard-mergeable per-run metrics with a serde-free JSON round trip |
-//! | [`mod@queue`] | deterministic time-then-FIFO priority queue ([`TimedQueue`]) with same-tick batch drain |
+//! | [`mod@queue`] | deterministic time-then-FIFO priority queue ([`TimedQueue`]) |
 //!
 //! Protocols implement [`Protocol`]; [`Simulation`] runs one seed (or
-//! [`Simulation::with_medium`] for an alternate PHY); [`MultiRun`]
-//! repeats an experiment across seeds and reports `mean ± 90 % CI` like
-//! every table in the paper. Whole experiment grids are described as
-//! `Vec<`[`Scenario`]`>` and executed by [`Sweep`], whose `(cell, run)`
-//! work queue fans out across threads — and, via [`Sweep::with_shard`]
-//! plus [`ReportSet::merge`], across machines; [`Sweep::skipping`]
-//! resumes an interrupted run from the cells already present in its
-//! partial report. Runs are pure functions of
-//! `(config, workload, protocol, seed)`: the same seed gives
-//! bit-identical [`RunStats`] under any thread count, any shard split,
-//! and any conforming medium.
+//! [`Simulation::with_medium`] for an alternate PHY). Experiments are
+//! described as `Vec<`[`Scenario`]`>` and executed by [`Sweep`], which
+//! repeats each cell across seeds ([`Scenario::run_nth`]); a
+//! [`CellReport`] then reports every metric as `mean ± 90 % CI` like
+//! every table in the paper. The sweep's `(cell, run)` work queue fans
+//! out across threads — and, via [`Sweep::with_shard`] plus
+//! [`ReportSet::merge`], across machines; [`Sweep::skipping`] resumes an
+//! interrupted run from the cells already present in its partial report.
+//! Runs are pure functions of `(config, workload, protocol, seed)`: the
+//! same seed gives bit-identical [`RunStats`] under any thread count, any
+//! shard split, and any conforming medium.
 //!
 //! # Where the parallelism is
 //!
 //! A run is single-threaded. The paper's results are grids of small
 //! 50-node runs repeated over seeds, so the parallelism lives only in
-//! [`Sweep`] (and [`MultiRun`], a one-cell sweep): `min(threads, units)`
-//! scoped workers pull `(cell, run)` units from one atomic cursor and
-//! results are collected by unit index, so [`RunStats`] are
-//! bit-identical for any thread count and any shard split.
+//! [`Sweep`]: `min(threads, units)` scoped workers pull `(cell, run)`
+//! units from one atomic cursor and results are collected by unit index,
+//! so [`RunStats`] are bit-identical for any thread count and any shard
+//! split.
 //!
 //! # Scaling to 100k+ nodes
 //!
@@ -136,7 +136,6 @@ pub mod medium;
 pub mod neighbors;
 pub mod queue;
 pub mod report;
-mod runner;
 pub mod scenario;
 pub mod sim;
 pub mod space;
@@ -159,7 +158,6 @@ pub use neighbors::{
 };
 pub use queue::TimedQueue;
 pub use report::{CellReport, ReportSet, RunMetrics};
-pub use runner::MultiRun;
 pub use scenario::{MediumKind, Scenario, WorkloadSpec};
 pub use sim::{Ctx, Protocol, Simulation};
 pub use space::SpatialIndex;

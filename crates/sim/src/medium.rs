@@ -99,6 +99,12 @@ pub enum TxResolution<Pk> {
 ///
 /// Object-safe: the engine stores `Box<dyn Medium<Pk>>`, so media can be
 /// swapped at construction without touching the engine's type.
+///
+/// Every completion time a medium returns must be `>= world.now` (in
+/// practice `now + access delay + serialisation`, or an ARQ backoff on
+/// top). The engine pops one event at a time in `(time, scheduling
+/// order)`, so an event scheduled in the past would run out of order;
+/// debug builds assert the invariant where events are scheduled.
 pub trait Medium<Pk> {
     /// Queues `frame` for transmission from `from`.
     ///

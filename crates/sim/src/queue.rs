@@ -11,9 +11,8 @@
 //! pick each level's minimum child by pairwise tournament (two
 //! independent first-round compares instead of a serial min scan — the
 //! fix for the small-heap regression where the dependent-compare chain,
-//! not cache misses, dominated). [`TimedQueue::drain_due`] pops *every*
-//! item due at one timestamp in a single call — the batch pop the
-//! engine's same-tick delivery loop is built on.
+//! not cache misses, dominated). The engine's run loop peeks
+//! [`TimedQueue::next_at`] and pops one event at a time.
 //!
 //! Every key is unique (the sequence number breaks all ties), so the pop
 //! order is the fully sorted order regardless of internal layout: two
@@ -29,10 +28,9 @@
 //! q.schedule(SimTime::from_secs(1.0), "first");
 //! q.schedule(SimTime::from_secs(1.0), "second");
 //!
-//! let mut batch = Vec::new();
-//! let at = q.next_at().unwrap();
-//! q.drain_due(at, &mut batch);
-//! assert_eq!(batch, vec!["first", "second"]); // FIFO within the tick
+//! assert_eq!(q.next_at(), Some(SimTime::from_secs(1.0)));
+//! assert_eq!(q.pop(), Some((SimTime::from_secs(1.0), "first")));
+//! assert_eq!(q.pop(), Some((SimTime::from_secs(1.0), "second"))); // FIFO within the tick
 //! assert_eq!(q.pop(), Some((SimTime::from_secs(2.0), "late")));
 //! ```
 
@@ -176,19 +174,6 @@ impl<T: Copy> TimedQueue<T> {
         Some((top.at, top.item))
     }
 
-    /// Pops every item due exactly at `at` (in FIFO order) onto the end
-    /// of `out`, returning how many were appended. Callers reusing `out`
-    /// as a batch buffer clear it first.
-    pub fn drain_due(&mut self, at: SimTime, out: &mut Vec<T>) -> usize {
-        let mut n = 0;
-        while self.next_at() == Some(at) {
-            let (_, item) = self.pop().expect("peeked item vanished");
-            out.push(item);
-            n += 1;
-        }
-        n
-    }
-
     /// Moves the element at `i` toward the root until its parent is
     /// smaller, shifting displaced parents down through a hole.
     fn sift_up(&mut self, mut i: usize) {
@@ -224,23 +209,6 @@ mod tests {
         }
         assert_eq!(out, vec![10, 11, 20, 30, 31]);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn drain_due_takes_exactly_one_tick() {
-        let mut q = TimedQueue::new();
-        let t1 = SimTime::from_secs(1.0);
-        q.schedule(SimTime::from_secs(2.0), "b");
-        q.schedule(t1, "a1");
-        q.schedule(t1, "a2");
-        q.schedule(t1, "a3");
-        let mut batch = Vec::new();
-        assert_eq!(q.drain_due(t1, &mut batch), 3);
-        assert_eq!(batch, vec!["a1", "a2", "a3"]);
-        assert_eq!(q.len(), 1);
-        // Draining a time with nothing due is a no-op.
-        assert_eq!(q.drain_due(t1, &mut batch), 0);
-        assert_eq!(q.next_at(), Some(SimTime::from_secs(2.0)));
     }
 
     #[test]

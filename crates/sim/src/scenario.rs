@@ -256,10 +256,10 @@ impl Scenario {
     }
 
     /// Runs the `run`-th seeded repetition of the scenario: seed
-    /// `config.seed + run`, matching [`crate::MultiRun`] semantics. This
-    /// is THE per-cell run function for [`crate::Sweep`] — the shard
-    /// merge's byte-identity guarantee depends on every executor seeding
-    /// the same way, so derive sweep seeds here rather than by hand.
+    /// `config.seed + run`. This is THE per-cell run function for
+    /// [`crate::Sweep`] — the shard merge's byte-identity guarantee
+    /// depends on every executor seeding the same way, so derive sweep
+    /// seeds here rather than by hand.
     pub fn run_nth<P: Protocol>(
         &self,
         run: usize,
@@ -324,6 +324,11 @@ mod tests {
         let b = sc.run_seeded(101, |_, _| Direct);
         let a2 = sc.run_seeded(100, |_, _| Direct);
         assert_eq!(a, a2);
+        let base = sc.config.seed;
+        assert_eq!(
+            sc.run_nth(3, |_, _| Direct),
+            sc.run_seeded(base + 3, |_, _| Direct)
+        );
         assert_ne!(
             (a.data_tx, a.messages_delivered()),
             (b.data_tx, b.messages_delivered())

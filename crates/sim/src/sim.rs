@@ -3,8 +3,8 @@
 //! This is the NS-2 substitute described in DESIGN.md, composed from the
 //! layered modules of this crate:
 //!
-//! * `crate::event` — the deterministic event queue (time-ordered,
-//!   FIFO within a timestamp);
+//! * [`crate::queue`] — the deterministic event queue (time-ordered,
+//!   FIFO within a timestamp) over `crate::event`'s event kinds;
 //! * [`crate::world`] — shared world state: clock, piecewise-linear node
 //!   mobility (sampled lazily from trajectories), the spatial index, the
 //!   run RNG, and statistics;
@@ -16,22 +16,22 @@
 //! * [`crate::neighbors`] — IMEP-style beacon sensing maintaining stale
 //!   1- and 2-hop neighbour tables.
 //!
-//! The engine itself (this module) only sequences events: it drains
-//! everything due at the next timestamp into a batch (time-then-FIFO
-//! order preserved), advances the clock, and dispatches each event to
-//! the medium, the neighbour tables, the workload, or a protocol hook.
-//! A run is single-threaded; parallelism lives one level up, in
-//! [`crate::Sweep`] / [`crate::MultiRun`], across independent runs.
+//! The engine itself (this module) only sequences events: it pops the
+//! next event (time-then-FIFO order), advances the clock, and dispatches
+//! it to the medium, the neighbour tables, the workload, or a protocol
+//! hook. A run is single-threaded; parallelism lives one level up, in
+//! [`crate::Sweep`], across independent runs.
 //! Protocols implement [`Protocol`] and interact with the world through
 //! [`Ctx`]. All randomness flows from the seed in [`crate::SimConfig`],
 //! so a run is a pure function of `(config, workload, protocol, seed)`
 //! under any conforming medium.
 
 use crate::config::SimConfig;
-use crate::event::{EventKind, EventQueue};
+use crate::event::EventKind;
 use crate::ids::{MessageId, MessageInfo, NodeId};
 use crate::medium::{ContentionMedium, Frame, Medium, PacketKind, QueueFull, TxResolution};
 use crate::neighbors::{NeighborEntry, NeighborTables, NeighborsView, TableFootprint};
+use crate::queue::TimedQueue;
 use crate::stats::RunStats;
 use crate::time::SimTime;
 use crate::workload::Workload;
@@ -87,9 +87,19 @@ pub trait Protocol: Sized {
 
 struct Core<Pk> {
     world: World,
-    events: EventQueue,
+    events: TimedQueue<EventKind>,
     medium: Box<dyn Medium<Pk>>,
     tables: NeighborTables,
+}
+
+impl<Pk> Core<Pk> {
+    /// Schedules `kind` at `at`. Nothing may be scheduled in the past:
+    /// the run loop pops one event at a time, so only `at >= now` keeps
+    /// the dispatch order equal to `(time, scheduling order)`.
+    fn schedule(&mut self, at: SimTime, kind: EventKind) {
+        debug_assert!(at >= self.world.now, "event scheduled in the past");
+        self.events.schedule(at, kind);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -186,9 +196,7 @@ impl<'a, Pk: Clone + std::fmt::Debug> Ctx<'a, Pk> {
             },
         )?;
         if let Some(at) = started {
-            self.core
-                .events
-                .schedule(at, EventKind::TxComplete(self.me));
+            self.core.schedule(at, EventKind::TxComplete(self.me));
         }
         Ok(())
     }
@@ -202,9 +210,7 @@ impl<'a, Pk: Clone + std::fmt::Debug> Ctx<'a, Pk> {
     pub fn set_timer(&mut self, delay: f64, token: u64) {
         assert!(delay >= 0.0, "timer delay must be non-negative");
         let at = self.core.world.now + delay;
-        self.core
-            .events
-            .schedule(at, EventKind::Timer(self.me, token));
+        self.core.schedule(at, EventKind::Timer(self.me, token));
     }
 
     /// Reports end-to-end delivery of `id` at this node (call at the
@@ -264,9 +270,6 @@ pub struct Simulation<P: Protocol> {
     protocols: Vec<Option<P>>,
     workload: Workload,
     message_ids: Vec<MessageId>,
-    /// Reusable same-tick event batch (drained from the queue per loop
-    /// turn, so a timestamp's events are one visible unit of work).
-    batch: Vec<EventKind>,
     /// Reusable receiver buffer for beacon events.
     receivers: Vec<NodeId>,
     /// Reusable per-receiver freshness flags for beacon reception.
@@ -346,7 +349,7 @@ impl<P: Protocol> Simulation<P> {
         let tables = NeighborTables::new(n, config.neighbor_ttl);
         let core = Core {
             world: World::new(config, trajectories, rng),
-            events: EventQueue::new(),
+            events: TimedQueue::new(),
             medium,
             tables,
         };
@@ -355,7 +358,6 @@ impl<P: Protocol> Simulation<P> {
             protocols,
             workload,
             message_ids,
-            batch: Vec::new(),
             receivers: Vec::new(),
             fresh: Vec::new(),
         }
@@ -396,15 +398,14 @@ impl<P: Protocol> Simulation<P> {
             let phase =
                 self.core.world.config.beacon_interval * (i as f64 + 1.0) / (n as f64 + 1.0);
             self.core
-                .events
                 .schedule(SimTime::from_secs(phase), EventKind::Beacon(NodeId(i)));
         }
         // Workload injections.
         for (i, m) in self.workload.messages().iter().enumerate() {
-            self.core.events.schedule(m.at, EventKind::Inject(i as u32));
+            self.core.schedule(m.at, EventKind::Inject(i as u32));
         }
         // Storage sampling.
-        self.core.events.schedule(
+        self.core.schedule(
             SimTime::from_secs(self.core.world.config.stats_interval),
             EventKind::StatsSample,
         );
@@ -416,46 +417,38 @@ impl<P: Protocol> Simulation<P> {
             });
         }
 
-        // Batched same-tick delivery: drain *everything* due at one
-        // timestamp (FIFO order preserved), then dispatch the batch in
-        // order. Events a handler schedules at the same timestamp carry
-        // later sequence numbers, so they drain on the next loop turn —
-        // after the current batch, exactly where the one-at-a-time
-        // reference loop would run them. The batch buffer is reused
-        // across the whole run.
-        let mut batch = std::mem::take(&mut self.batch);
+        // One event at a time, in (time, scheduling order). Handlers only
+        // schedule at or after `now` (see `Core::schedule`), so an event
+        // added while a timestamp is being processed runs after the ones
+        // already due at it.
         while let Some(at) = self.core.events.next_at() {
             if at.as_secs() > duration {
                 break;
             }
-            batch.clear();
-            self.core.events.drain_due(at, &mut batch);
+            let (at, ev) = self.core.events.pop().expect("peeked event vanished");
             self.core.world.now = at;
-            for &ev in &batch {
-                match ev {
-                    EventKind::Beacon(u) => self.handle_beacon(u),
-                    EventKind::TxComplete(u) => self.handle_tx_complete(u),
-                    EventKind::Timer(u, token) => {
-                        Self::with_protocol(&mut self.core, &mut self.protocols, u, |p, ctx| {
-                            p.on_timer(ctx, token)
-                        });
+            match ev {
+                EventKind::Beacon(u) => self.handle_beacon(u),
+                EventKind::TxComplete(u) => self.handle_tx_complete(u),
+                EventKind::Timer(u, token) => {
+                    Self::with_protocol(&mut self.core, &mut self.protocols, u, |p, ctx| {
+                        p.on_timer(ctx, token)
+                    });
+                }
+                EventKind::Inject(i) => self.handle_inject(i as usize),
+                EventKind::StatsSample => {
+                    for i in 0..n {
+                        let used = self.protocols[i]
+                            .as_ref()
+                            .expect("protocol present")
+                            .storage_used();
+                        self.core.world.stats.sample_storage(NodeId(i as u32), used);
                     }
-                    EventKind::Inject(i) => self.handle_inject(i as usize),
-                    EventKind::StatsSample => {
-                        for i in 0..n {
-                            let used = self.protocols[i]
-                                .as_ref()
-                                .expect("protocol present")
-                                .storage_used();
-                            self.core.world.stats.sample_storage(NodeId(i as u32), used);
-                        }
-                        let next = self.core.world.now + self.core.world.config.stats_interval;
-                        self.core.events.schedule(next, EventKind::StatsSample);
-                    }
+                    let next = self.core.world.now + self.core.world.config.stats_interval;
+                    self.core.schedule(next, EventKind::StatsSample);
                 }
             }
         }
-        self.batch = batch;
         inspect(&self);
         self.core.world.stats
     }
@@ -506,14 +499,14 @@ impl<P: Protocol> Simulation<P> {
         }
         self.fresh = fresh;
         let next = now + self.core.world.config.beacon_interval;
-        self.core.events.schedule(next, EventKind::Beacon(u));
+        self.core.schedule(next, EventKind::Beacon(u));
         self.receivers = receivers;
     }
 
     fn handle_tx_complete(&mut self, u: NodeId) {
         match self.core.medium.tx_complete(&mut self.core.world, u) {
             TxResolution::Retrying { at } => {
-                self.core.events.schedule(at, EventKind::TxComplete(u));
+                self.core.schedule(at, EventKind::TxComplete(u));
             }
             TxResolution::Lost => self.start_next_tx(u),
             TxResolution::Delivered {
@@ -548,7 +541,7 @@ impl<P: Protocol> Simulation<P> {
 
     fn start_next_tx(&mut self, u: NodeId) {
         if let Some(at) = self.core.medium.start_next(&mut self.core.world, u) {
-            self.core.events.schedule(at, EventKind::TxComplete(u));
+            self.core.schedule(at, EventKind::TxComplete(u));
         }
     }
 

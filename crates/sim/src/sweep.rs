@@ -252,11 +252,6 @@ impl SweepResults {
         &self.cells
     }
 
-    /// Consumes the results into their cells.
-    pub fn into_cells(self) -> Vec<CellRuns> {
-        self.cells
-    }
-
     /// The runs of cell `cell`, if this (possibly sharded) result set
     /// executed it.
     pub fn get(&self, cell: usize) -> Option<&CellRuns> {

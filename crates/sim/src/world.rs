@@ -61,11 +61,6 @@ impl World {
         &self.config
     }
 
-    /// The interned trajectory arena backing all position queries.
-    pub fn arena(&self) -> &DeploymentArena {
-        &self.arena
-    }
-
     /// Ground-truth position of `node` at the current time.
     pub fn pos(&self, node: NodeId) -> Point2 {
         self.pos_at(node, self.now)

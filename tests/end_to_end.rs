@@ -159,18 +159,17 @@ fn partitioned_static_pair_is_undeliverable_for_both() {
 
 #[test]
 fn parallel_multi_run_matches_serial_for_glr() {
-    use glr::sim::MultiRun;
+    use glr::sim::{Scenario, Sweep};
     let cfg = SimConfig::paper(200.0, 21).with_duration(120.0);
-    let run_fn = |c: SimConfig| {
-        let wl = Workload::paper_style(c.n_nodes, 20, 1000);
-        Simulation::new(c, wl, Glr::new).run()
-    };
-    let par = MultiRun::execute_with_threads(&cfg, 4, 4, run_fn);
-    let ser = MultiRun::execute_serial(&cfg, 4, run_fn);
-    for (p, s) in par.runs().iter().zip(ser.runs()) {
+    let cells = [Scenario::new("glr", cfg).with_messages(20)];
+    let run_fn = |sc: &Scenario, run: usize| sc.run_nth(run, Glr::new);
+    let sweep = Sweep::new(4).with_threads(4);
+    let par = sweep.execute(&cells, run_fn);
+    let ser = sweep.execute_serial(&cells, run_fn);
+    assert_eq!(par.cells()[0].runs.len(), 4);
+    for (p, s) in par.cells()[0].runs.iter().zip(&ser.cells()[0].runs) {
         assert_eq!(p, s, "parallel GLR run diverged from serial");
     }
-    assert_eq!(par.delivery_ratio(), ser.delivery_ratio());
 }
 
 #[test]
