@@ -1,6 +1,6 @@
 //! Criterion benchmarks of the engine's neighbor layers: the uniform-grid
 //! spatial index at 50 / 500 / 5000 nodes, a whole-engine run at 500
-//! nodes, and the beacon hot path — `Arc`-interned snapshots +
+//! nodes, and the beacon hot path — `Rc`-interned snapshots +
 //! incremental two-hop merges in `NeighborTables` — at 500 / 5000 /
 //! 10000 nodes.
 //!

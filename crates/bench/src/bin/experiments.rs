@@ -1,5 +1,7 @@
 //! Regenerates every table and figure of the paper's evaluation section,
-//! plus the ablations called out in DESIGN.md — all on the sweep engine.
+//! plus three ablations (`ablation-spanner`, `ablation-copies`,
+//! `ablation-perturb`) and the `media-compare` grid — all on the sweep
+//! engine. Run the binary without arguments for the job list.
 //!
 //! ```text
 //! cargo run --release -p glr-bench --bin experiments -- all

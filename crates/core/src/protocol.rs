@@ -160,7 +160,7 @@ impl Glr {
         // worst case is used as the expected displacement.
         let v_max = ctx.config().speed_range.1;
         let range = ctx.config().radio_range;
-        // One shared snapshot serves both filters (an Arc clone, not a
+        // One shared snapshot serves both filters (an Rc clone, not a
         // fresh table materialisation).
         let nbrs = ctx.neighbors();
         let one_hop: Vec<NodeId> = nbrs

@@ -26,7 +26,7 @@
 //! |---|---|
 //! | [`mod@sim`] | event sequencing: pops one event at a time, advances the clock, dispatches it on one thread |
 //! | [`mod@medium`] | radio/PHY behind the pluggable [`Medium`] trait: [`ContentionMedium`] (default), [`IdealMedium`], [`ShadowingMedium`], [`DutyCycledMedium`] |
-//! | [`mod@neighbors`] | IMEP beacon sensing: `Arc`-interned beacon snapshots and incrementally merged 1-/2-hop tables with TTL expiry ([`NeighborTables`]) |
+//! | [`mod@neighbors`] | IMEP beacon sensing: `Rc`-interned beacon snapshots and incrementally merged 1-/2-hop tables with TTL expiry ([`NeighborTables`]) |
 //! | [`mod@space`] | proximity queries: an exact, drift-compensated grid index ([`SpatialIndex`]) |
 //! | [`mod@world`] | shared state: clock, trajectories, RNG, statistics |
 //! | [`mod@scenario`] | declarative experiment cells: [`Scenario`] = config + workload + [`MediumKind`] |
@@ -56,13 +56,18 @@
 //! so [`RunStats`] are bit-identical for any thread count and any shard
 //! split.
 //!
+//! Each worker builds and runs its simulations itself, and only the
+//! [`RunStats`] cross threads. The engine relies on that: beacon
+//! snapshots and neighbour views are shared through `Rc`, not `Arc`, so
+//! [`Simulation`], [`NeighborTables`] and [`NeighborsView`] are `!Send`.
+//!
 //! # Scaling to 100k+ nodes
 //!
 //! Each of the two hot layers has one implementation, built for scale:
 //!
 //! * proximity queries — the drift-compensated grid [`SpatialIndex`];
 //! * the beacon/neighbour layer — [`NeighborTables`] (one
-//!   `Arc`-interned snapshot per beacon shared by all receivers,
+//!   `Rc`-interned snapshot per beacon shared by all receivers,
 //!   incremental keyed merges, lazy staleness sweeping, cached
 //!   [`Ctx::neighbors`]/[`Ctx::local_view`]).
 //!
@@ -77,7 +82,7 @@
 //! interned into one contiguous [`glr_mobility::DeploymentArena`]
 //! keyframe buffer (offsets + per-node segment hints) instead of one
 //! heap `Vec` per node, and all position sampling reads it. Per-node
-//! protocol state is compact: thin `Arc`-only beacon snapshots, a
+//! protocol state is compact: thin `Rc`-only beacon snapshots, a
 //! single-probe peer map with 32-byte entries, and the cold view caches
 //! split out of the hot per-node tables ([`TableFootprint`] reports the
 //! bytes; the `neighbor_footprint` bench row tracks them at 100k).

@@ -12,16 +12,23 @@
 //!
 //! [`NeighborTables`] has one implementation, built for 10k+-node
 //! deployments. A beacon's 1-hop snapshot is materialised **once** per
-//! beacon event behind an `Arc` ([`BeaconSnapshot`]) and shared by every
-//! receiver; [`NeighborTables::record_beacon`] stores the `Arc` keyed by
+//! beacon event behind an `Rc` ([`BeaconSnapshot`]) and shared by every
+//! receiver; [`NeighborTables::record_beacon`] stores the `Rc` keyed by
 //! sender — amortised O(1) per reception — instead of merging the
 //! snapshot entry-by-entry into a linearly-scanned 2-hop `Vec`. 1-hop
 //! upserts go through a hash index, expiry is swept lazily (amortised,
 //! never a per-beacon full-table rebuild), and the protocol-facing views
-//! ([`NeighborsView`]) are `Arc`-backed and cached per
+//! ([`NeighborsView`]) are `Rc`-backed and cached per
 //! `(node, time, generation)`, so repeated [`crate::Ctx::neighbors`] /
 //! [`crate::Ctx::local_view`] calls within one event are
 //! allocation-free.
+//!
+//! The shared allocations are reference-counted without atomics: a run
+//! is single-threaded (a [`crate::Sweep`] builds and runs each
+//! simulation inside one worker, and only its [`crate::RunStats`] cross
+//! threads), so a beacon's per-receiver share is a plain counter bump.
+//! [`NeighborTables`], [`NeighborsView`] and [`BeaconSnapshot`] are
+//! therefore `!Send`.
 //!
 //! The original clone-and-merge tables (`Vec`-scanned, deep-merged on
 //! every reception, expired eagerly) survive only as a test oracle
@@ -43,7 +50,7 @@ use crate::ids::{NodeId, NodeMap};
 use crate::time::SimTime;
 use glr_geometry::Point2;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A neighbour-table entry: where a node was when we last heard it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,12 +66,12 @@ pub struct NeighborEntry {
 /// A cheap, immutable, shareable view of neighbour entries.
 ///
 /// Dereferences to `[NeighborEntry]` and iterates by value like the
-/// `Vec<NeighborEntry>` it replaced, but cloning is an `Arc` bump: the
+/// `Vec<NeighborEntry>` it replaced, but cloning is an `Rc` bump: the
 /// tables hand the same allocation to every caller asking for the same
 /// node's view at the same time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NeighborsView {
-    entries: Arc<[NeighborEntry]>,
+    entries: Rc<[NeighborEntry]>,
 }
 
 impl NeighborsView {
@@ -91,7 +98,7 @@ impl std::ops::Deref for NeighborsView {
 /// exactly like iterating an owned `Vec<NeighborEntry>`.
 #[derive(Debug)]
 pub struct NeighborsIter {
-    entries: Arc<[NeighborEntry]>,
+    entries: Rc<[NeighborEntry]>,
     at: usize,
 }
 
@@ -130,20 +137,20 @@ impl<'a> IntoIterator for &'a NeighborsView {
 }
 
 /// One beacon's payload: the sender's fresh 1-hop table, materialised
-/// once per beacon event and shared (`Arc`) by every receiver.
+/// once per beacon event and shared (`Rc`) by every receiver.
 ///
-/// Deliberately thin — two words, a fat `Arc` pointer. Every receiver
+/// Deliberately thin — two words, a fat `Rc` pointer. Every receiver
 /// of a beacon stores a copy inside its `NodeTable`'s peer map, so
 /// each byte here is a byte per `(node, peer)` pair at 100k nodes; the
 /// freshest-entry timestamp the old layout cached inline is recomputed
 /// during the (amortised) sweeps that need it instead.
 #[derive(Debug, Clone)]
 pub struct BeaconSnapshot {
-    entries: Arc<[NeighborEntry]>,
+    entries: Rc<[NeighborEntry]>,
 }
 
 impl BeaconSnapshot {
-    fn new(entries: Arc<[NeighborEntry]>) -> Self {
+    fn new(entries: Rc<[NeighborEntry]>) -> Self {
         BeaconSnapshot { entries }
     }
 
@@ -331,7 +338,7 @@ struct SharedTables {
     /// Reusable freshest-wins merge buffer for [`SharedTables::fresh_view`].
     scratch: NodeMap<NeighborEntry>,
     /// Reusable staging buffer for snapshot materialisation, so a beacon
-    /// costs exactly one allocation (the shared `Arc`).
+    /// costs exactly one allocation (the shared `Rc`).
     snap_scratch: Vec<NeighborEntry>,
 }
 
@@ -352,7 +359,7 @@ struct PeerState {
     /// Current slot in `order`, or [`NO_SLOT`].
     slot: u32,
     /// Latest beacon snapshot from this peer (the receiving node's 2-hop
-    /// knowledge). An `Arc` clone of the sender-side materialisation.
+    /// knowledge). An `Rc` clone of the sender-side materialisation.
     snap: Option<BeaconSnapshot>,
 }
 
@@ -534,7 +541,7 @@ impl SharedTables {
                 .filter(|e| e.heard_at.as_secs() >= horizon)
                 .copied(),
         );
-        let snap = BeaconSnapshot::new(Arc::from(&snap_scratch[..]));
+        let snap = BeaconSnapshot::new(Rc::from(&snap_scratch[..]));
         cache.one = Some((now, t.gen, snap.clone()));
         snap
     }
@@ -598,10 +605,10 @@ impl SharedTables {
         let mut table_bytes = self.nodes.capacity() * std::mem::size_of::<NodeTable>()
             + self.caches.capacity() * std::mem::size_of::<NodeCache>();
         let mut snapshots: HashMap<*const NeighborEntry, usize> = HashMap::new();
-        let mut note = |entries: &Arc<[NeighborEntry]>| {
+        let mut note = |entries: &Rc<[NeighborEntry]>| {
             snapshots.insert(
                 entries.as_ptr(),
-                entries.len() * std::mem::size_of::<NeighborEntry>() + ARC_SLICE_HEADER,
+                entries.len() * std::mem::size_of::<NeighborEntry>() + RC_SLICE_HEADER,
             );
         };
         for t in &self.nodes {
@@ -632,9 +639,9 @@ impl SharedTables {
     }
 }
 
-/// `ArcInner` bookkeeping preceding an `Arc<[T]>`'s payload (strong +
+/// `RcBox` bookkeeping preceding an `Rc<[T]>`'s payload (strong +
 /// weak counts).
-const ARC_SLICE_HEADER: usize = 2 * std::mem::size_of::<usize>();
+const RC_SLICE_HEADER: usize = 2 * std::mem::size_of::<usize>();
 
 /// Estimated heap bytes of a `HashMap` with `capacity` usable slots and
 /// `entry` bytes per `(K, V)` pair: hashbrown allocates a power-of-two
@@ -659,7 +666,7 @@ pub struct TableFootprint {
     /// buffers and peer maps (map sizes are bucket estimates).
     pub table_bytes: usize,
     /// Bytes in interned beacon-snapshot/view allocations, counted once
-    /// per unique `Arc` however many peers share it.
+    /// per unique `Rc` however many peers share it.
     pub snapshot_bytes: usize,
 }
 
@@ -916,7 +923,7 @@ mod tests {
         let s = t.beacon_snapshot(NodeId(0), now);
         // Cached: a second ask at the same time is the same allocation.
         let s2 = t.beacon_snapshot(NodeId(0), now);
-        assert!(Arc::ptr_eq(&s.entries, &s2.entries));
+        assert!(Rc::ptr_eq(&s.entries, &s2.entries));
         // Receivers of the beacon share it too: record it at two nodes
         // and confirm both 2-hop views see the carried entry.
         t.record_beacon(NodeId(1), entry(0, 5.0), &s, now);
@@ -934,13 +941,13 @@ mod tests {
         let a = t.fresh_view(NodeId(1), now);
         let b = t.fresh_view(NodeId(1), now);
         assert!(
-            Arc::ptr_eq(&a.entries, &b.entries),
+            Rc::ptr_eq(&a.entries, &b.entries),
             "same (time, gen) must hit the cache"
         );
         // A mutation invalidates.
         t.record_beacon(NodeId(1), entry(2, 1.5), &snap(&[]), now);
         let c = t.fresh_view(NodeId(1), now);
-        assert!(!Arc::ptr_eq(&a.entries, &c.entries));
+        assert!(!Rc::ptr_eq(&a.entries, &c.entries));
         assert_eq!(
             c.iter().find(|e| e.id == NodeId(2)).unwrap().heard_at,
             SimTime::from_secs(1.5)

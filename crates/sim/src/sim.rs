@@ -1,7 +1,7 @@
 //! The discrete-event simulation engine.
 //!
-//! This is the NS-2 substitute described in DESIGN.md, composed from the
-//! layered modules of this crate:
+//! This is the NS-2 substitute described in the crate docs
+//! ([`crate`]), composed from the layered modules of this crate:
 //!
 //! * [`crate::queue`] — the deterministic event queue (time-ordered,
 //!   FIFO within a timestamp) over `crate::event`'s event kinds;
@@ -153,7 +153,7 @@ impl<'a, Pk: Clone + std::fmt::Debug> Ctx<'a, Pk> {
     ///
     /// The returned [`NeighborsView`] derefs to `[NeighborEntry]` and
     /// iterates by value like the `Vec` it replaced; repeated calls
-    /// within one event are `Arc` clones of a cached snapshot, not fresh
+    /// within one event are `Rc` clones of a cached snapshot, not fresh
     /// allocations.
     pub fn neighbors(&mut self) -> NeighborsView {
         self.core.tables.fresh_one_hop(self.me, self.core.world.now)
@@ -270,10 +270,9 @@ pub struct Simulation<P: Protocol> {
     protocols: Vec<Option<P>>,
     workload: Workload,
     message_ids: Vec<MessageId>,
-    /// Reusable receiver buffer for beacon events.
-    receivers: Vec<NodeId>,
-    /// Reusable per-receiver freshness flags for beacon reception.
-    fresh: Vec<bool>,
+    /// Reusable buffer of a beacon's new contacts: the receivers that did
+    /// not have the sender as a fresh neighbour.
+    appeared: Vec<NodeId>,
 }
 
 impl<P: Protocol> Simulation<P> {
@@ -358,8 +357,7 @@ impl<P: Protocol> Simulation<P> {
             protocols,
             workload,
             message_ids,
-            receivers: Vec::new(),
-            fresh: Vec::new(),
+            appeared: Vec::new(),
         }
     }
 
@@ -463,10 +461,6 @@ impl<P: Protocol> Simulation<P> {
         let now = self.core.world.now;
         let pos_u = self.core.world.pos(u);
         let range = self.core.world.config.radio_range;
-        let mut receivers = std::mem::take(&mut self.receivers);
-        self.core
-            .world
-            .nodes_within_into(pos_u, range, u, &mut receivers);
         // Snapshot of u's one-hop table rides along in the beacon (2-hop
         // info) — materialised once and shared by every receiver.
         let snapshot = self.core.tables.beacon_snapshot(u, now);
@@ -477,30 +471,29 @@ impl<P: Protocol> Simulation<P> {
             pos: pos_u,
             heard_at: now,
         };
-        // Merge the beacon into every receiver's tables first, then run
-        // the new-contact hooks in ascending receiver order. Interleaving
-        // merges and hooks would change what a hook observes through its
-        // `Ctx`, and with it the run's results.
-        debug_assert!(
-            receivers.windows(2).all(|w| w[0] < w[1]),
-            "receivers must be strictly ascending"
-        );
-        let mut fresh = std::mem::take(&mut self.fresh);
-        fresh.clear();
-        for &v in &receivers {
-            fresh.push(self.core.tables.record_beacon(v, sender, &snapshot, now));
-        }
-        for (&v, &was_fresh) in receivers.iter().zip(&fresh) {
-            if !was_fresh {
-                Self::with_protocol(&mut self.core, &mut self.protocols, v, |p, ctx| {
-                    p.on_neighbor_appeared(ctx, u)
-                });
+        // Merge the beacon into every receiver's tables in the grid's
+        // visit order: each merge touches only that receiver's table, so
+        // the order cannot matter. Then run the new-contact hooks in
+        // ascending receiver order. Interleaving merges and hooks would
+        // change what a hook observes through its `Ctx`, and with it the
+        // run's results.
+        let mut appeared = std::mem::take(&mut self.appeared);
+        appeared.clear();
+        let tables = &mut self.core.tables;
+        self.core.world.for_each_within(pos_u, range, u, |v| {
+            if !tables.record_beacon(v, sender, &snapshot, now) {
+                appeared.push(v);
             }
+        });
+        appeared.sort_unstable();
+        for &v in &appeared {
+            Self::with_protocol(&mut self.core, &mut self.protocols, v, |p, ctx| {
+                p.on_neighbor_appeared(ctx, u)
+            });
         }
-        self.fresh = fresh;
+        self.appeared = appeared;
         let next = now + self.core.world.config.beacon_interval;
         self.core.schedule(next, EventKind::Beacon(u));
-        self.receivers = receivers;
     }
 
     fn handle_tx_complete(&mut self, u: NodeId) {
@@ -715,6 +708,40 @@ mod tests {
         let stats = Simulation::new(cfg, Workload::default(), |_, _| Spy { appeared: 0 }).run();
         // No messages, but beacons flowed.
         assert!(stats.control_tx > 0);
+    }
+
+    #[test]
+    fn new_contact_hooks_fire_in_ascending_receiver_order() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        type Log = Rc<RefCell<Vec<(SimTime, NodeId, NodeId)>>>;
+        struct Spy {
+            log: Log,
+        }
+        impl Protocol for Spy {
+            type Packet = ();
+            fn on_message_created(&mut self, _: &mut Ctx<'_, ()>, _: MessageInfo) {}
+            fn on_packet(&mut self, _: &mut Ctx<'_, ()>, _: NodeId, _: ()) {}
+            fn on_neighbor_appeared(&mut self, ctx: &mut Ctx<'_, ()>, nbr: NodeId) {
+                self.log.borrow_mut().push((ctx.now(), nbr, ctx.me()));
+            }
+        }
+        // At 250 m most of the 50 nodes hear each first beacon, and the
+        // grid visits them cell by cell, not in id order.
+        let log = Log::default();
+        let cfg = SimConfig::paper(250.0, 3).with_duration(30.0);
+        Simulation::new(cfg, Workload::default(), |_, _| Spy { log: log.clone() }).run();
+        let log = log.borrow();
+        let mut multi = 0;
+        for w in log.windows(2) {
+            let ((t0, s0, r0), (t1, s1, r1)) = (w[0], w[1]);
+            if (t0, s0) == (t1, s1) {
+                assert!(r0 < r1, "beacon of {s0:?} at {t0}: {r0:?} before {r1:?}");
+                multi += 1;
+            }
+        }
+        assert!(multi > 0, "no beacon had two new contacts");
     }
 
     #[test]

@@ -193,48 +193,15 @@ impl SpatialIndex {
         except: NodeId,
     ) -> Vec<NodeId> {
         let mut out = Vec::new();
-        self.nodes_within_into(arena, now, center, range, except, &mut out);
+        self.for_each_within(arena, now, center, range, except, |v| out.push(v));
+        out.sort_unstable();
         out
     }
 
-    /// Like [`SpatialIndex::nodes_within`], but clears and fills a
-    /// caller-owned buffer instead of allocating — the engine reuses one
-    /// buffer across every beacon event.
-    pub fn nodes_within_into(
-        &self,
-        arena: &DeploymentArena,
-        now: SimTime,
-        center: Point2,
-        range: f64,
-        except: NodeId,
-        out: &mut Vec<NodeId>,
-    ) {
-        out.clear();
-        self.for_each_within(arena, now, center, range, except, |v| out.push(v));
-        out.sort_unstable();
-    }
-
-    /// Number of nodes within `range` of `center` at `now` (excluding
-    /// `except`) for which `pred` holds.
-    pub fn count_within(
-        &self,
-        arena: &DeploymentArena,
-        now: SimTime,
-        center: Point2,
-        range: f64,
-        except: NodeId,
-        mut pred: impl FnMut(NodeId) -> bool,
-    ) -> usize {
-        let mut count = 0;
-        self.for_each_within(arena, now, center, range, except, |v| {
-            if pred(v) {
-                count += 1;
-            }
-        });
-        count
-    }
-
-    fn for_each_within(
+    /// Calls `f` once for every node of [`SpatialIndex::nodes_within`]'s
+    /// set, in the grid's visit order rather than id order — the
+    /// allocation-free form the engine's beacon fan-out uses.
+    pub(crate) fn for_each_within(
         &self,
         arena: &DeploymentArena,
         now: SimTime,
@@ -244,26 +211,74 @@ impl SpatialIndex {
         mut f: impl FnMut(NodeId),
     ) {
         let t = now.as_secs();
-        // The exact membership predicate — the same test a linear scan
-        // applies, so grid and scan can never disagree on boundary cases.
-        let mut exact = |v: NodeId| {
-            if v != except && arena.position_at(v.index(), t).dist(center) <= range {
+        self.for_each_candidate(now, center, range, except, |v| {
+            if in_range(arena, t, center, range, v) {
+                f(v);
+            }
+        });
+    }
+
+    /// Number of nodes within `range` of `center` at `now` (excluding
+    /// `except`) for which `pred` holds.
+    ///
+    /// `pred` runs *before* the exact distance test, so a candidate it
+    /// rejects costs one call instead of one trajectory interpolation.
+    /// It must therefore be pure: it may be called for candidates
+    /// outside `range`, in any order.
+    pub fn count_within(
+        &self,
+        arena: &DeploymentArena,
+        now: SimTime,
+        center: Point2,
+        range: f64,
+        except: NodeId,
+        pred: impl Fn(NodeId) -> bool,
+    ) -> usize {
+        let t = now.as_secs();
+        let mut count = 0;
+        self.for_each_candidate(now, center, range, except, |v| {
+            if pred(v) && in_range(arena, t, center, range, v) {
+                count += 1;
+            }
+        });
+        count
+    }
+
+    /// Calls `f` for a superset of the nodes within `range` of `center`
+    /// at `now`, `except` excluded: the grid cells the drift-inflated
+    /// radius touches, or every node when there is no grid.
+    fn for_each_candidate(
+        &self,
+        now: SimTime,
+        center: Point2,
+        range: f64,
+        except: NodeId,
+        mut f: impl FnMut(NodeId),
+    ) {
+        let mut visit = |v: NodeId| {
+            if v != except {
                 f(v);
             }
         };
         match &self.grid {
             Some(grid) => {
                 grid.for_each_within(&self.positions, center, range + self.drift(now), |i| {
-                    exact(NodeId(i as u32))
+                    visit(NodeId(i as u32))
                 });
             }
             None => {
                 for i in 0..self.n as u32 {
-                    exact(NodeId(i));
+                    visit(NodeId(i));
                 }
             }
         }
     }
+}
+
+/// The exact membership predicate — the same test a linear scan applies,
+/// so grid and scan can never disagree on boundary cases.
+fn in_range(arena: &DeploymentArena, t: f64, center: Point2, range: f64, v: NodeId) -> bool {
+    arena.position_at(v.index(), t).dist(center) <= range
 }
 
 #[cfg(test)]

@@ -74,34 +74,36 @@ impl World {
     /// Nodes currently within `range` of `p`, excluding `except`, in
     /// ascending id order.
     pub fn nodes_within(&mut self, p: Point2, range: f64, except: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.nodes_within_into(p, range, except, &mut out);
-        out
+        self.index.refresh(self.now, &self.arena);
+        self.index
+            .nodes_within(&self.arena, self.now, p, range, except)
     }
 
-    /// Like [`World::nodes_within`], but clears and fills a caller-owned
-    /// buffer — the allocation-free form the engine's beacon loop uses.
-    pub fn nodes_within_into(
+    /// Calls `f` for every node of [`World::nodes_within`]'s set, in the
+    /// spatial index's visit order rather than id order — the
+    /// allocation-free form the engine's beacon fan-out uses.
+    pub(crate) fn for_each_within(
         &mut self,
         p: Point2,
         range: f64,
         except: NodeId,
-        out: &mut Vec<NodeId>,
+        f: impl FnMut(NodeId),
     ) {
         self.index.refresh(self.now, &self.arena);
         self.index
-            .nodes_within_into(&self.arena, self.now, p, range, except, out);
+            .for_each_within(&self.arena, self.now, p, range, except, f);
     }
 
     /// Number of nodes within `range` of `p` (excluding `except`)
     /// satisfying `pred` — e.g. "is currently transmitting" for the
-    /// carrier-sense and interference models.
+    /// carrier-sense and interference models. `pred` must be pure; see
+    /// [`SpatialIndex::count_within`].
     pub fn count_within(
         &mut self,
         p: Point2,
         range: f64,
         except: NodeId,
-        pred: impl FnMut(NodeId) -> bool,
+        pred: impl Fn(NodeId) -> bool,
     ) -> usize {
         self.index.refresh(self.now, &self.arena);
         self.index
