@@ -59,7 +59,7 @@ mod spanner;
 mod trees;
 mod udg;
 
-pub use delaunay::{certified_delaunay_star, delaunay_star, Triangulation};
+pub use delaunay::{delaunay_star, Triangulation};
 pub use graph::{is_plane_drawing, Graph};
 pub use grid::{bounding_box, Grid};
 pub use ldt::{k_ldtg, ldtg_local_neighbors};

@@ -16,10 +16,10 @@ use proptest::prelude::*;
 /// contention, collisions and ARQ, and any divergence in the index's
 /// node sets or in table entry *content or order* changes queueing
 /// order, contention, RNG draws and therefore the statistics.
-struct Flood;
+pub(crate) struct Flood;
 
 #[derive(Debug, Clone)]
-struct FloodPacket {
+pub(crate) struct FloodPacket {
     info: MessageInfo,
     hops: u32,
 }

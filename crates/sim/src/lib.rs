@@ -27,7 +27,7 @@
 //! | [`mod@sim`] | event sequencing: pops one event at a time, advances the clock, dispatches it on one thread |
 //! | [`mod@medium`] | radio/PHY behind the pluggable [`Medium`] trait: [`ContentionMedium`] (default), [`IdealMedium`], [`ShadowingMedium`], [`DutyCycledMedium`] |
 //! | [`mod@neighbors`] | IMEP beacon sensing: `Rc`-interned beacon snapshots and incrementally merged 1-/2-hop tables with TTL expiry ([`NeighborTables`]) |
-//! | [`mod@space`] | proximity queries: an exact, drift-compensated grid index ([`SpatialIndex`]) |
+//! | [`mod@space`] | beacon receiver sets: an exact, drift-compensated grid index ([`SpatialIndex`]) |
 //! | [`mod@world`] | shared state: clock, trajectories, RNG, statistics |
 //! | [`mod@scenario`] | declarative experiment cells: [`Scenario`] = config + workload + [`MediumKind`] |
 //! | [`mod@sweep`] | the parameter-sweep engine: work-queue execution of `(cell, run)` units on scoped threads, sharding, deterministic collection |
@@ -65,7 +65,7 @@
 //!
 //! Each of the two hot layers has one implementation, built for scale:
 //!
-//! * proximity queries — the drift-compensated grid [`SpatialIndex`];
+//! * beacon receiver sets — the drift-compensated grid [`SpatialIndex`];
 //! * the beacon/neighbour layer — [`NeighborTables`] (one
 //!   `Rc`-interned snapshot per beacon shared by all receivers,
 //!   incremental keyed merges, lazy staleness sweeping, cached

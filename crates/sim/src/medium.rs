@@ -252,10 +252,18 @@ fn arq_retry<Pk>(world: &mut World, mut frame: Frame<Pk>) -> (Frame<Pk>, SimTime
 ///   near the receiver (hidden terminals included), retried with
 ///   exponential backoff up to `config.mac_retries` times while the
 ///   radio stays busy (head-of-line blocking — the paper's contention
-///   mechanism).
+///   mechanism);
+/// * carrier sense and interference both count the medium's on-air list
+///   — the radios with a frame in flight — with the exact distance test a
+///   scan over every radio would apply. The list holds a handful of
+///   radios on the shipped workloads, 10k-node runs included, so walking
+///   it is cheaper than a spatial query.
 #[derive(Debug)]
 pub struct ContentionMedium<Pk> {
     radios: Vec<Radio<Pk>>,
+    /// Every node whose radio has a frame in flight (ARQ retries
+    /// included), in no particular order: only counts are read from it.
+    on_air: Vec<NodeId>,
 }
 
 impl<Pk> ContentionMedium<Pk> {
@@ -263,7 +271,28 @@ impl<Pk> ContentionMedium<Pk> {
     pub fn new(n_nodes: usize) -> Self {
         ContentionMedium {
             radios: (0..n_nodes).map(|_| Radio::default()).collect(),
+            on_air: Vec::new(),
         }
+    }
+
+    /// Number of on-air radios other than `except` within `range` of `p`
+    /// — the same exact distance test as the spatial index's, so the
+    /// count equals a scan over all radios.
+    fn on_air_within(&self, world: &World, p: Point2, range: f64, except: NodeId) -> usize {
+        self.on_air
+            .iter()
+            .filter(|&&v| v != except && world.pos(v).dist(p) <= range)
+            .count()
+    }
+
+    /// Takes `from` off the on-air list once its frame has resolved.
+    fn leave_air(&mut self, from: NodeId) {
+        let i = self
+            .on_air
+            .iter()
+            .position(|&v| v == from)
+            .expect("resolved a frame that was not on air");
+        self.on_air.swap_remove(i);
     }
 }
 
@@ -292,9 +321,7 @@ impl<Pk: Clone + std::fmt::Debug> Medium<Pk> for ContentionMedium<Pk> {
             Some(FrameLoss::OutOfRange)
         } else {
             // Interference near the receiver (includes hidden terminals).
-            let radios = &self.radios;
-            let k =
-                world.count_within(pos_to, range, from, |v| radios[v.index()].current.is_some());
+            let k = self.on_air_within(world, pos_to, range, from);
             let p_loss = 1.0 - (1.0 - world.config().collision_prob).powi(k as i32);
             if k > 0 && world.rng().random_range(0.0..1.0) < p_loss {
                 Some(FrameLoss::Collision)
@@ -315,9 +342,11 @@ impl<Pk: Clone + std::fmt::Debug> Medium<Pk> for ContentionMedium<Pk> {
                 self.radios[from.index()].current = Some(frame);
                 return TxResolution::Retrying { at };
             }
+            self.leave_air(from);
             return TxResolution::Lost;
         }
 
+        self.leave_air(from);
         deliver(frame, pos_u)
     }
 
@@ -327,15 +356,14 @@ impl<Pk: Clone + std::fmt::Debug> Medium<Pk> for ContentionMedium<Pk> {
         let pos_u = world.pos(from);
         // Carrier sense: back off proportionally to busy transmitters in a
         // two-radius neighbourhood, plus random jitter of one slot.
-        let radios = &self.radios;
-        let contention = world.count_within(pos_u, 2.0 * world.config().radio_range, from, |v| {
-            radios[v.index()].current.is_some()
-        }) as f64;
+        let contention =
+            self.on_air_within(world, pos_u, 2.0 * world.config().radio_range, from) as f64;
         let jitter: f64 = world.rng().random_range(0.0..=1.0);
         let access = world.config().mac_slot * (contention + jitter);
         let duration = world.config().tx_time(frame.size);
         let done = world.now() + access + duration;
         self.radios[ui].current = Some(frame);
+        self.on_air.push(from);
         Some(done)
     }
 
@@ -651,6 +679,137 @@ impl<Pk: Clone + std::fmt::Debug> Medium<Pk> for DutyCycledMedium<Pk> {
 
     fn queue_len(&self, node: NodeId) -> usize {
         self.inner.queue_len(node)
+    }
+}
+
+#[cfg(test)]
+mod on_air_tests {
+    use super::*;
+    use crate::equivalence::Flood;
+    use crate::{SimConfig, Simulation, Workload};
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    /// Resolutions the checked medium handed back, read after the run.
+    #[derive(Default)]
+    struct Outcomes {
+        retrying: Cell<u64>,
+        lost: Cell<u64>,
+    }
+
+    /// [`ContentionMedium`] with its on-air list checked against a scan of
+    /// every radio before and after each call.
+    struct Checked<Pk> {
+        inner: ContentionMedium<Pk>,
+        outcomes: Rc<Outcomes>,
+    }
+
+    impl<Pk> Checked<Pk> {
+        /// Asserts that the on-air list holds exactly the radios with a
+        /// frame in flight, once each, and that its count at every
+        /// `(point, range, except)` probe equals a brute-force scan.
+        fn check(&self, world: &World, probes: &[(Point2, f64, NodeId)]) {
+            let radios = &self.inner.radios;
+            let mut listed = self.inner.on_air.clone();
+            listed.sort_unstable();
+            listed.dedup();
+            assert_eq!(
+                listed.len(),
+                self.inner.on_air.len(),
+                "duplicate on-air entry"
+            );
+            let busy: Vec<NodeId> = (0..radios.len() as u32)
+                .map(NodeId)
+                .filter(|v| radios[v.index()].current.is_some())
+                .collect();
+            assert_eq!(
+                listed, busy,
+                "on-air list differs from the radios in flight"
+            );
+            for &(p, range, except) in probes {
+                let scan = (0..radios.len() as u32)
+                    .map(NodeId)
+                    .filter(|&v| {
+                        radios[v.index()].current.is_some()
+                            && v != except
+                            && world.pos(v).dist(p) <= range
+                    })
+                    .count();
+                assert_eq!(self.inner.on_air_within(world, p, range, except), scan);
+            }
+        }
+
+        /// The carrier-sense probe of a transmission starting at `from`.
+        fn sense_probe(world: &World, from: NodeId) -> (Point2, f64, NodeId) {
+            (world.pos(from), 2.0 * world.config().radio_range, from)
+        }
+    }
+
+    impl<Pk: Clone + std::fmt::Debug> Medium<Pk> for Checked<Pk> {
+        fn enqueue(
+            &mut self,
+            world: &mut World,
+            from: NodeId,
+            frame: Frame<Pk>,
+        ) -> Result<Option<SimTime>, QueueFull> {
+            let probe = [Self::sense_probe(world, from)];
+            self.check(world, &probe);
+            let started = self.inner.enqueue(world, from, frame);
+            self.check(world, &probe);
+            started
+        }
+
+        fn tx_complete(&mut self, world: &mut World, from: NodeId) -> TxResolution<Pk> {
+            // The interference probe around the receiver of the frame in
+            // flight, as the collision model counts it.
+            let to = self.inner.radios[from.index()]
+                .current
+                .as_ref()
+                .expect("TxComplete without a frame in flight")
+                .to;
+            let probe = [(world.pos(to), world.config().radio_range, from)];
+            self.check(world, &probe);
+            let resolution = self.inner.tx_complete(world, from);
+            self.check(world, &probe);
+            let counter = match resolution {
+                TxResolution::Retrying { .. } => &self.outcomes.retrying,
+                TxResolution::Lost => &self.outcomes.lost,
+                TxResolution::Delivered { .. } => return resolution,
+            };
+            counter.set(counter.get() + 1);
+            resolution
+        }
+
+        fn start_next(&mut self, world: &mut World, from: NodeId) -> Option<SimTime> {
+            let probe = [Self::sense_probe(world, from)];
+            self.check(world, &probe);
+            let started = self.inner.start_next(world, from);
+            self.check(world, &probe);
+            started
+        }
+
+        fn queue_len(&self, node: NodeId) -> usize {
+            self.inner.queue_len(node)
+        }
+    }
+
+    #[test]
+    fn on_air_list_matches_a_scan_of_every_radio() {
+        let cfg = SimConfig::paper(150.0, 7).with_duration(30.0);
+        let wl = Workload::paper_style(cfg.n_nodes, 20, 1000);
+        let outcomes = Rc::new(Outcomes::default());
+        let medium = Checked {
+            inner: ContentionMedium::new(cfg.n_nodes),
+            outcomes: Rc::clone(&outcomes),
+        };
+        let stats = Simulation::with_medium(cfg, wl, |_, _| Flood, medium).run();
+        // Every branch of the bookkeeping must have run for the check to
+        // mean anything.
+        assert!(stats.collisions > 0, "no collisions");
+        assert!(stats.out_of_range > 0, "no out-of-range losses");
+        assert!(stats.queue_drops > 0, "no queue drops");
+        assert!(outcomes.retrying.get() > 0, "no ARQ retries");
+        assert!(outcomes.lost.get() > 0, "no lost frames");
     }
 }
 

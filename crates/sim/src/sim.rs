@@ -8,7 +8,7 @@
 //! * [`crate::world`] — shared world state: clock, piecewise-linear node
 //!   mobility (sampled lazily from trajectories), the spatial index, the
 //!   run RNG, and statistics;
-//! * [`crate::space`] — grid-indexed proximity queries;
+//! * [`crate::space`] — grid-indexed beacon receiver sets;
 //! * [`crate::medium`] — the pluggable radio/PHY layer
 //!   ([`ContentionMedium`] by default: FIFO transmit queues,
 //!   serialisation, carrier-sense backoff, ARQ, probabilistic collision

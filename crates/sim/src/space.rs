@@ -1,11 +1,14 @@
-//! Spatial indexing of node positions for the engine's proximity queries.
+//! Spatial indexing of node positions for the engine's beacon fan-out.
 //!
-//! Every radio event needs "who is within `r` of this point right now".
-//! A linear scan is `O(n)` per query; at paper scale that is tolerable,
-//! but it is the dominant cost at larger node counts (beacons alone make
-//! the engine `O(n²)` per simulated second). [`SpatialIndex`] answers the
-//! same queries from a uniform grid ([`glr_geometry::Grid`]) rebuilt
-//! lazily as simulated time advances.
+//! Every beacon needs "who is within `r` of this point right now": its
+//! receiver set. A linear scan is `O(n)` per beacon; at paper scale that
+//! is tolerable, but it is the dominant cost at larger node counts
+//! (beacons alone make the engine `O(n²)` per simulated second).
+//! [`SpatialIndex`] answers the same queries from a uniform grid
+//! ([`glr_geometry::Grid`]) rebuilt lazily as simulated time advances.
+//! The contention medium does not use it: its carrier-sense and
+//! interference counts walk the short list of radios on air
+//! ([`crate::ContentionMedium`]).
 //!
 //! **Exactness.** Node positions move continuously, so a grid built at
 //! time `t` is stale at `t' > t`. The index exploits the mobility model's
@@ -201,6 +204,10 @@ impl SpatialIndex {
     /// Calls `f` once for every node of [`SpatialIndex::nodes_within`]'s
     /// set, in the grid's visit order rather than id order — the
     /// allocation-free form the engine's beacon fan-out uses.
+    ///
+    /// The grid cells the drift-inflated radius touches (or every node,
+    /// when there is no grid) give a candidate superset, which the exact
+    /// distance test then filters.
     pub(crate) fn for_each_within(
         &self,
         arena: &DeploymentArena,
@@ -211,52 +218,8 @@ impl SpatialIndex {
         mut f: impl FnMut(NodeId),
     ) {
         let t = now.as_secs();
-        self.for_each_candidate(now, center, range, except, |v| {
-            if in_range(arena, t, center, range, v) {
-                f(v);
-            }
-        });
-    }
-
-    /// Number of nodes within `range` of `center` at `now` (excluding
-    /// `except`) for which `pred` holds.
-    ///
-    /// `pred` runs *before* the exact distance test, so a candidate it
-    /// rejects costs one call instead of one trajectory interpolation.
-    /// It must therefore be pure: it may be called for candidates
-    /// outside `range`, in any order.
-    pub fn count_within(
-        &self,
-        arena: &DeploymentArena,
-        now: SimTime,
-        center: Point2,
-        range: f64,
-        except: NodeId,
-        pred: impl Fn(NodeId) -> bool,
-    ) -> usize {
-        let t = now.as_secs();
-        let mut count = 0;
-        self.for_each_candidate(now, center, range, except, |v| {
-            if pred(v) && in_range(arena, t, center, range, v) {
-                count += 1;
-            }
-        });
-        count
-    }
-
-    /// Calls `f` for a superset of the nodes within `range` of `center`
-    /// at `now`, `except` excluded: the grid cells the drift-inflated
-    /// radius touches, or every node when there is no grid.
-    fn for_each_candidate(
-        &self,
-        now: SimTime,
-        center: Point2,
-        range: f64,
-        except: NodeId,
-        mut f: impl FnMut(NodeId),
-    ) {
         let mut visit = |v: NodeId| {
-            if v != except {
+            if v != except && in_range(arena, t, center, range, v) {
                 f(v);
             }
         };
@@ -348,25 +311,5 @@ mod tests {
         assert_eq!(idx.built_at, built, "rebuilt before slack was exceeded");
         idx.refresh(SimTime::from_secs(slack_secs * 2.0), &trajs);
         assert_eq!(idx.built_at, SimTime::from_secs(slack_secs * 2.0));
-    }
-
-    #[test]
-    fn count_within_applies_predicate() {
-        let trajs = moving(&[
-            (0.0, 0.0, 0.0, 0.0),
-            (10.0, 0.0, 10.0, 0.0),
-            (20.0, 0.0, 20.0, 0.0),
-        ]);
-        let mut idx = SpatialIndex::new(3, 0.0, 50.0);
-        idx.refresh(SimTime::ZERO, &trajs);
-        let n = idx.count_within(
-            &trajs,
-            SimTime::ZERO,
-            Point2::new(0.0, 0.0),
-            50.0,
-            NodeId(0),
-            |v| v.0 != 1,
-        );
-        assert_eq!(n, 1); // node 2 only: node 0 excluded, node 1 filtered.
     }
 }

@@ -4,17 +4,18 @@
 //! [`World`] is the slice of engine state that both the engine and the
 //! pluggable [`crate::Medium`] need: a medium implementation receives
 //! `&mut World` on every call and interacts with the world exclusively
-//! through the methods here — proximity queries, the deterministic RNG,
+//! through the methods here — node positions, the deterministic RNG,
 //! the clock, and statistics reporting. Keeping all randomness behind
 //! [`World::rng`] is what keeps a run a pure function of
 //! `(config, workload, protocol, seed)` regardless of which medium is
-//! plugged in.
+//! plugged in. The spatial index is the engine's own: it serves the
+//! beacon fan-out and is not part of the medium's interface.
 //!
 //! Node mobility lives in a [`DeploymentArena`]: every node's
 //! piecewise-linear trajectory interned into one contiguous keyframe
 //! buffer, so the `position_at` hot path (spatial-index candidate
-//! filtering, medium range checks, grid rebuilds) walks flat memory
-//! instead of chasing one heap allocation per node.
+//! filtering, medium range and interference checks, grid rebuilds) walks
+//! flat memory instead of chasing one heap allocation per node.
 
 use crate::config::SimConfig;
 use crate::ids::NodeId;
@@ -71,17 +72,9 @@ impl World {
         self.arena.position_at(node.index(), t.as_secs())
     }
 
-    /// Nodes currently within `range` of `p`, excluding `except`, in
-    /// ascending id order.
-    pub fn nodes_within(&mut self, p: Point2, range: f64, except: NodeId) -> Vec<NodeId> {
-        self.index.refresh(self.now, &self.arena);
-        self.index
-            .nodes_within(&self.arena, self.now, p, range, except)
-    }
-
-    /// Calls `f` for every node of [`World::nodes_within`]'s set, in the
-    /// spatial index's visit order rather than id order — the
-    /// allocation-free form the engine's beacon fan-out uses.
+    /// Calls `f` for every node currently within `range` of `p`, excluding
+    /// `except`, in the spatial index's visit order rather than id order —
+    /// the engine's beacon fan-out.
     pub(crate) fn for_each_within(
         &mut self,
         p: Point2,
@@ -92,22 +85,6 @@ impl World {
         self.index.refresh(self.now, &self.arena);
         self.index
             .for_each_within(&self.arena, self.now, p, range, except, f);
-    }
-
-    /// Number of nodes within `range` of `p` (excluding `except`)
-    /// satisfying `pred` — e.g. "is currently transmitting" for the
-    /// carrier-sense and interference models. `pred` must be pure; see
-    /// [`SpatialIndex::count_within`].
-    pub fn count_within(
-        &mut self,
-        p: Point2,
-        range: f64,
-        except: NodeId,
-        pred: impl Fn(NodeId) -> bool,
-    ) -> usize {
-        self.index.refresh(self.now, &self.arena);
-        self.index
-            .count_within(&self.arena, self.now, p, range, except, pred)
     }
 
     /// The run's deterministic random number generator. All medium and

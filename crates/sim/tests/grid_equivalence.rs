@@ -70,32 +70,4 @@ proptest! {
         }
     }
 
-    /// Raw count equivalence with a predicate (the contention/interference
-    /// query shape).
-    #[test]
-    fn grid_count_within_matches_linear_scan(
-        seed in 0u64..10_000,
-        n in 2usize..60,
-        range in 10.0..300.0f64,
-        t in 0.0..200.0f64,
-    ) {
-        let region = Region::PAPER_STRIP;
-        let model = RandomWaypoint::new(region, 0.0, 20.0, 0.0);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let trajs = DeploymentArena::from_trajectories(&model.deployment(region, n, 200.0, &mut rng));
-
-        let mut grid = SpatialIndex::new(n, 20.0, range);
-        grid.refresh(SimTime::ZERO, &trajs);
-
-        let now = SimTime::from_secs(t);
-        let center = trajs.position_at(0, t);
-        // An arbitrary stable predicate (even ids), standing in for "is
-        // currently transmitting".
-        let got = grid.count_within(&trajs, now, center, range, NodeId(0), |v| v.0 % 2 == 0);
-        let want = linear_scan(&trajs, t, center, range, NodeId(0))
-            .into_iter()
-            .filter(|v| v.0 % 2 == 0)
-            .count();
-        prop_assert_eq!(got, want);
-    }
 }
