@@ -1,7 +1,7 @@
 //! Whole-engine benchmarks for the single-run scaling work: the dense
 //! 10k-node beacon workload (the regime the flat trajectory arena and
 //! the single-probe tables target), the 100k-node paper-density tier,
-//! and the deployment arena's build time and memory footprint.
+//! and the random-waypoint deployment's build time and memory footprint.
 //!
 //! The dense group grows node density with `√n` (region scaled by
 //! `(n/50)^0.25`), the regime where every beacon fans out to ~50
@@ -15,7 +15,7 @@
 //! ```
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use glr_mobility::{DeploymentArena, RandomWaypoint, Region};
+use glr_mobility::{RandomWaypoint, Region};
 use glr_sim::{Ctx, MessageInfo, NodeId, Protocol, SimConfig, Simulation, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -84,29 +84,27 @@ fn bench_engine_100k(c: &mut Criterion) {
     g.finish();
 }
 
-/// Deployment memory footprint: bytes per node of the interned arena,
-/// printed for the committed artefact (the criterion shim reports times,
-/// not sizes, so the bench measures the interning pass and prints the
-/// byte counts).
+/// Deployment build time and memory footprint: `RandomWaypoint::deployment`
+/// at paper duration, timed, with the arena's bytes per node printed for
+/// the committed artefact (the criterion shim reports times, not sizes).
 fn bench_deployment_footprint(c: &mut Criterion) {
-    let mut g = c.benchmark_group("deployment_intern");
+    let mut g = c.benchmark_group("deployment");
     for n in [10_000usize, 100_000] {
         let scale = (n as f64 / 50.0).sqrt();
         let region = Region::new(1500.0 * scale, 300.0 * scale);
         let model = RandomWaypoint::new(region, 0.0, 20.0, 0.0);
-        let mut rng = StdRng::seed_from_u64(7);
-        // Paper-duration trajectories: this is where keyframe counts —
-        // and the per-node Vec overhead — are realistic.
-        let trajs = model.deployment(region, n, 3800.0, &mut rng);
-        let arena = DeploymentArena::from_trajectories(&trajs);
+        // Paper-duration trajectories: this is where keyframe counts are
+        // realistic.
+        let build = || model.deployment(region, n, 3800.0, &mut StdRng::seed_from_u64(7));
+        let arena = build();
         println!(
             "deployment_footprint/{n}: arena {} B ({} B/node, {} keyframes)",
             arena.heap_bytes(),
             arena.heap_bytes() / n,
             arena.total_keyframes(),
         );
-        g.bench_function(BenchmarkId::new("arena_build", n), |b| {
-            b.iter(|| DeploymentArena::from_trajectories(black_box(&trajs)).total_keyframes())
+        g.bench_function(BenchmarkId::new("random_waypoint", n), |b| {
+            b.iter(|| black_box(build()).total_keyframes())
         });
     }
     g.finish();

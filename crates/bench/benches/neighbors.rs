@@ -38,9 +38,7 @@ fn deployment(n: usize, duration: f64, seed: u64) -> (Region, DeploymentArena) {
     let region = Region::new(1500.0 * scale, 300.0 * scale);
     let model = RandomWaypoint::new(region, 0.0, 20.0, 0.0);
     let mut rng = StdRng::seed_from_u64(seed);
-    let trajs =
-        DeploymentArena::from_trajectories(&model.deployment(region, n, duration, &mut rng));
-    (region, trajs)
+    (region, model.deployment(region, n, duration, &mut rng))
 }
 
 fn index(n: usize, trajs: &DeploymentArena) -> SpatialIndex {
@@ -147,7 +145,7 @@ fn tables_fixture(
     let region = Region::new(1500.0 * scale, 300.0 * scale);
     let model = RandomWaypoint::new(region, 0.0, 20.0, 0.0);
     let mut rng = StdRng::seed_from_u64(seed);
-    let trajs = DeploymentArena::from_trajectories(&model.deployment(region, n, 10.0, &mut rng));
+    let trajs = model.deployment(region, n, 10.0, &mut rng);
     let positions: Vec<_> = (0..n).map(|u| trajs.position_at(u, 0.0)).collect();
     let mut idx = SpatialIndex::new(n, 20.0, RANGE);
     idx.refresh(SimTime::ZERO, &trajs);

@@ -14,7 +14,7 @@ pub use render::{plot_data, svg_topology, Series};
 
 use glr_core::{Glr, GlrConfig};
 use glr_epidemic::Epidemic;
-use glr_sim::{ReportSet, RunStats, Scenario, Sweep};
+use glr_sim::{ReportSet, RunMetrics, RunStats, Scenario, Sweep};
 
 /// How much simulation an experiment buys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,7 +112,9 @@ impl Cell {
 }
 
 /// Executes an experiment grid on the sweep engine and distils the
-/// results into a shard-mergeable [`ReportSet`].
+/// results into a shard-mergeable [`ReportSet`]. Each worker reduces its
+/// run to a [`RunMetrics`] row before handing it back, so a run's
+/// per-message records are freed as soon as it finishes.
 ///
 /// `threads` of `None` uses one worker per core; `shard` of
 /// `Some((i, n))` executes only every `n`-th cell (the report keeps
@@ -135,8 +137,8 @@ pub fn execute_cells(
     if let Some((index, of)) = shard {
         sweep = sweep.with_shard(index, of);
     }
-    let results = sweep.execute(cells, |cell, run| cell.run(run));
-    ReportSet::from_sweep(&results, |i| cells[i].scenario.label.clone())
+    let results = sweep.execute(cells, |cell, run| RunMetrics::from_stats(&cell.run(run)));
+    ReportSet::from_sweep(results, |i| cells[i].scenario.label.clone())
 }
 
 /// Prints a table row: a label column then value columns.

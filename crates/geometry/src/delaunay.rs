@@ -71,7 +71,6 @@ use std::collections::HashSet;
 pub struct Triangulation {
     triangles: Vec<[usize; 3]>,
     edges: HashSet<(usize, usize)>,
-    num_points: usize,
 }
 
 impl Triangulation {
@@ -93,7 +92,6 @@ impl Triangulation {
             return Triangulation {
                 triangles: Vec::new(),
                 edges: HashSet::new(),
-                num_points: n,
             };
         }
         if n == 2 {
@@ -104,7 +102,6 @@ impl Triangulation {
             return Triangulation {
                 triangles: Vec::new(),
                 edges,
-                num_points: n,
             };
         }
 
@@ -112,7 +109,6 @@ impl Triangulation {
             return Triangulation {
                 triangles: Vec::new(),
                 edges: chain,
-                num_points: n,
             };
         }
 
@@ -194,23 +190,13 @@ impl Triangulation {
             edges.insert(ordered(t[1], t[2]));
             edges.insert(ordered(t[2], t[0]));
         }
-        Triangulation {
-            triangles,
-            edges,
-            num_points: n,
-        }
+        Triangulation { triangles, edges }
     }
 
     /// The triangles, each a counter-clockwise index triple.
     #[inline]
     pub fn triangles(&self) -> &[[usize; 3]] {
         &self.triangles
-    }
-
-    /// Number of points the triangulation was built from.
-    #[inline]
-    pub fn num_points(&self) -> usize {
-        self.num_points
     }
 
     /// `true` when `uv` is a Delaunay edge.
@@ -230,9 +216,11 @@ impl Triangulation {
         self.edges.len()
     }
 
-    /// Converts the edge set to a [`crate::Graph`] on the same vertex indices.
-    pub fn to_graph(&self) -> crate::Graph {
-        let mut g = crate::Graph::new(self.num_points);
+    /// Converts the edge set to a [`crate::Graph`] on the same vertex
+    /// indices; `n` is the number of points the triangulation was built
+    /// from.
+    pub fn to_graph(&self, n: usize) -> crate::Graph {
+        let mut g = crate::Graph::new(n);
         for &(u, v) in &self.edges {
             g.add_edge(u, v);
         }
@@ -669,7 +657,7 @@ mod tests {
     fn to_graph_roundtrip() {
         let pts = pseudo_random_points(25, 100.0, 5);
         let tri = Triangulation::build(&pts);
-        let g = tri.to_graph();
+        let g = tri.to_graph(pts.len());
         assert_eq!(g.edge_count(), tri.edge_count());
         for (u, v) in tri.edges() {
             assert!(g.has_edge(u, v));

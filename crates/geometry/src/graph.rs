@@ -26,7 +26,7 @@ use std::collections::{BinaryHeap, VecDeque};
 /// g.add_edge(1, 2);
 /// assert!(g.has_edge(0, 1));
 /// assert!(!g.has_edge(0, 2));
-/// assert_eq!(g.degree(1), 2);
+/// assert_eq!(g.neighbors(1).len(), 2);
 /// assert_eq!(g.connected_components().len(), 2); // {0,1,2} and {3}
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -92,12 +92,6 @@ impl Graph {
     #[inline]
     pub fn neighbors(&self, u: usize) -> &[usize] {
         &self.adj[u]
-    }
-
-    /// Degree of `u`.
-    #[inline]
-    pub fn degree(&self, u: usize) -> usize {
-        self.adj[u].len()
     }
 
     /// Iterates over every undirected edge exactly once, as `(u, v)` with `u < v`.
@@ -272,7 +266,7 @@ mod tests {
         g.add_edge(0, 1); // duplicate ignored
         assert_eq!(g.edge_count(), 1);
         assert!(g.has_edge(1, 0));
-        assert_eq!(g.degree(0), 1);
+        assert_eq!(g.neighbors(0).len(), 1);
         assert_eq!(g.neighbors(0), &[1]);
     }
 

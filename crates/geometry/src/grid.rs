@@ -20,7 +20,8 @@ use crate::point::Point2;
 ///     Point2::new(50.0, 50.0),
 /// ];
 /// let grid = Grid::build(&pts, 10.0);
-/// let mut near = grid.within_radius(&pts, Point2::new(1.0, 1.0), 10.0);
+/// let mut near = Vec::new();
+/// grid.for_each_within(&pts, Point2::new(1.0, 1.0), 10.0, |i| near.push(i));
 /// near.sort_unstable();
 /// assert_eq!(near, vec![0, 1]);
 /// ```
@@ -115,11 +116,6 @@ impl Grid {
         }
     }
 
-    /// Number of grid cells.
-    pub fn cell_count(&self) -> usize {
-        self.cols * self.rows
-    }
-
     #[inline]
     fn cell_of(&self, p: Point2) -> (usize, usize) {
         let c = ((p.x - self.min.x) / self.cell).floor() as isize;
@@ -130,16 +126,10 @@ impl Grid {
         )
     }
 
-    /// Indices of all points within `radius` of `center` (inclusive).
+    /// Calls `f` for every point index within `radius` of `center`
+    /// (inclusive).
     ///
     /// `points` must be the same slice the grid was built from.
-    pub fn within_radius(&self, points: &[Point2], center: Point2, radius: f64) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.for_each_within(points, center, radius, |i| out.push(i));
-        out
-    }
-
-    /// Calls `f` for every point index within `radius` of `center`.
     pub fn for_each_within<F: FnMut(usize)>(
         &self,
         points: &[Point2],
@@ -198,6 +188,13 @@ pub fn bounding_box(points: &[Point2]) -> (Point2, Point2) {
 mod tests {
     use super::*;
 
+    /// Indices of all points within `radius` of `center`, in visit order.
+    fn within(grid: &Grid, points: &[Point2], center: Point2, radius: f64) -> Vec<usize> {
+        let mut out = Vec::new();
+        grid.for_each_within(points, center, radius, |i| out.push(i));
+        out
+    }
+
     #[test]
     fn radius_query_matches_brute_force() {
         // Deterministic pseudo-random points.
@@ -213,7 +210,7 @@ mod tests {
         let grid = Grid::build(&pts, 100.0);
         for &(cx, cy, r) in &[(500.0, 500.0, 100.0), (0.0, 0.0, 250.0), (999.0, 0.0, 50.0)] {
             let center = Point2::new(cx, cy);
-            let mut got = grid.within_radius(&pts, center, r);
+            let mut got = within(&grid, &pts, center, r);
             got.sort_unstable();
             let mut want: Vec<usize> = (0..pts.len())
                 .filter(|&i| pts[i].dist(center) <= r)
@@ -227,7 +224,7 @@ mod tests {
     fn query_radius_larger_than_cell() {
         let pts = vec![Point2::new(0.0, 0.0), Point2::new(90.0, 0.0)];
         let grid = Grid::build(&pts, 10.0);
-        let near = grid.within_radius(&pts, Point2::new(0.0, 0.0), 100.0);
+        let near = within(&grid, &pts, Point2::new(0.0, 0.0), 100.0);
         assert_eq!(near.len(), 2);
     }
 
@@ -235,8 +232,8 @@ mod tests {
     fn empty_points() {
         let pts: Vec<Point2> = Vec::new();
         let grid = Grid::build(&pts, 10.0);
-        assert!(grid.within_radius(&pts, Point2::ORIGIN, 5.0).is_empty());
-        assert_eq!(grid.cell_count(), 1);
+        assert!(within(&grid, &pts, Point2::ORIGIN, 5.0).is_empty());
+        assert_eq!(grid.cols * grid.rows, 1);
     }
 
     #[test]
@@ -244,8 +241,8 @@ mod tests {
         let pts = vec![Point2::new(3.0, 4.0)];
         let grid = Grid::build(&pts, 1.0);
         // Distance exactly 5.0 from origin: inclusive.
-        assert_eq!(grid.within_radius(&pts, Point2::ORIGIN, 5.0), vec![0]);
-        assert!(grid.within_radius(&pts, Point2::ORIGIN, 4.999).is_empty());
+        assert_eq!(within(&grid, &pts, Point2::ORIGIN, 5.0), vec![0]);
+        assert!(within(&grid, &pts, Point2::ORIGIN, 4.999).is_empty());
     }
 
     #[test]
@@ -273,7 +270,7 @@ mod tests {
         let center = Point2::new(0.999_999_999_999_999_9, 0.0);
         let pts = vec![Point2::new(0.0, 0.0), Point2::new(3.0, 0.0)];
         let grid = Grid::build(&pts, 1.0);
-        let mut got = grid.within_radius(&pts, center, 2.0);
+        let mut got = within(&grid, &pts, center, 2.0);
         got.sort_unstable();
         let want: Vec<usize> = (0..pts.len())
             .filter(|&i| pts[i].dist(center) <= 2.0)

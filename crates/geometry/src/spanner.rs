@@ -121,7 +121,7 @@ mod tests {
         for seed in [2, 6, 18] {
             let pts = pseudo_random_points(60, 1000.0, 1000.0, seed);
             let tri = Triangulation::build(&pts);
-            let r = euclidean_stretch(&tri.to_graph(), &pts);
+            let r = euclidean_stretch(&tri.to_graph(pts.len()), &pts);
             assert!(
                 r.max_stretch < 2.42,
                 "seed {seed}: stretch {} exceeds Keil-Gutwin bound",

@@ -75,7 +75,7 @@ proptest! {
     #[test]
     fn delaunay_is_plane(pts in points(3..25)) {
         let tri = Triangulation::build(&pts);
-        let g = tri.to_graph();
+        let g = tri.to_graph(pts.len());
         prop_assert!(is_plane_drawing(&g, &pts));
     }
 
@@ -97,7 +97,7 @@ proptest! {
     #[test]
     fn stretch_at_least_one(pts in points(2..15)) {
         let tri = Triangulation::build(&pts);
-        let g = tri.to_graph();
+        let g = tri.to_graph(pts.len());
         let r = euclidean_stretch(&g, &pts);
         prop_assert!(r.max_stretch >= 1.0 - 1e-9);
         prop_assert!(r.mean_stretch >= 1.0 - 1e-9);

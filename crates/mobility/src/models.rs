@@ -1,7 +1,7 @@
 //! The random waypoint mobility model, the paper's motion pattern.
 
+use crate::arena::DeploymentArena;
 use crate::region::Region;
-use crate::trajectory::Trajectory;
 use glr_geometry::Point2;
 use rand::Rng;
 
@@ -22,8 +22,9 @@ use rand::Rng;
 ///
 /// let model = RandomWaypoint::paper(Region::PAPER_STRIP);
 /// let mut rng = StdRng::seed_from_u64(7);
-/// let traj = model.trajectory(glr_geometry::Point2::new(10.0, 10.0), 100.0, &mut rng);
-/// assert!(traj.end_time() >= 100.0);
+/// let arena = model.deployment(Region::PAPER_STRIP, 3, 100.0, &mut rng);
+/// // Every node's last keyframe lies at or past the requested duration.
+/// assert!((0..3).all(|i| arena.keyframes(i).last().unwrap().0 >= 100.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RandomWaypoint {
@@ -65,22 +66,19 @@ impl RandomWaypoint {
         RandomWaypoint::new(region, 0.0, 20.0, 0.0)
     }
 
-    /// The deployment region.
-    pub fn region(&self) -> Region {
-        self.region
-    }
-
-    /// Generates one node's trajectory starting at `start` and covering
-    /// `[0, duration]`.
-    pub fn trajectory<R: Rng + ?Sized>(
+    /// Writes one node's keyframes, starting at `start` and covering
+    /// `[0, duration]`, into `keyframes` (cleared first).
+    fn trajectory<R: Rng + ?Sized>(
         &self,
         start: Point2,
         duration: f64,
         rng: &mut R,
-    ) -> Trajectory {
-        let mut keyframes = vec![(0.0, self.region.clamp(start))];
-        let mut t = 0.0;
+        keyframes: &mut Vec<(f64, Point2)>,
+    ) {
         let mut pos = self.region.clamp(start);
+        keyframes.clear();
+        keyframes.push((0.0, pos));
+        let mut t = 0.0;
         while t < duration {
             let target = self.region.random_point(rng);
             let speed = rng
@@ -97,24 +95,26 @@ impl RandomWaypoint {
                 keyframes.push((t, pos));
             }
         }
-        Trajectory::from_keyframes(keyframes)
     }
 
     /// Generates trajectories for a whole deployment: nodes start uniformly
-    /// at random inside `region`.
+    /// at random inside `region`. Node `i` is the arena's `i`-th entry.
     pub fn deployment<R: Rng + ?Sized>(
         &self,
         region: Region,
         n: usize,
         duration: f64,
         rng: &mut R,
-    ) -> Vec<Trajectory> {
-        (0..n)
-            .map(|_| {
-                let start = region.random_point(rng);
-                self.trajectory(start, duration, rng)
-            })
-            .collect()
+    ) -> DeploymentArena {
+        let mut arena = DeploymentArena::new();
+        let mut keyframes = Vec::new();
+        for _ in 0..n {
+            let start = region.random_point(rng);
+            self.trajectory(start, duration, rng, &mut keyframes);
+            arena.push(&keyframes);
+        }
+        arena.shrink_to_fit();
+        arena
     }
 }
 
@@ -124,15 +124,21 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// One node moving by `model` for `duration` seconds.
+    fn one_node(model: &RandomWaypoint, duration: f64, seed: u64) -> DeploymentArena {
+        let mut rng = StdRng::seed_from_u64(seed);
+        model.deployment(Region::PAPER_SQUARE, 1, duration, &mut rng)
+    }
+
     #[test]
     fn rwp_stays_in_region_and_covers_duration() {
         let region = Region::PAPER_STRIP;
         let model = RandomWaypoint::paper(region);
         let mut rng = StdRng::seed_from_u64(1);
-        let traj = model.trajectory(Point2::new(0.0, 0.0), 500.0, &mut rng);
-        assert!(traj.end_time() >= 500.0);
+        let arena = model.deployment(region, 1, 500.0, &mut rng);
+        assert!(arena.keyframes(0).last().unwrap().0 >= 500.0);
         for i in 0..100 {
-            let p = traj.position_at(i as f64 * 5.0);
+            let p = arena.position_at(0, i as f64 * 5.0);
             assert!(region.contains(p), "escaped region at t={i}");
         }
     }
@@ -140,18 +146,19 @@ mod tests {
     #[test]
     fn rwp_deterministic_per_seed() {
         let model = RandomWaypoint::paper(Region::PAPER_SQUARE);
-        let t1 = model.trajectory(Point2::new(5.0, 5.0), 200.0, &mut StdRng::seed_from_u64(9));
-        let t2 = model.trajectory(Point2::new(5.0, 5.0), 200.0, &mut StdRng::seed_from_u64(9));
-        assert_eq!(t1, t2);
+        let a = one_node(&model, 200.0, 9);
+        let b = one_node(&model, 200.0, 9);
+        assert_eq!(a.keyframes(0), b.keyframes(0));
     }
 
     #[test]
     fn rwp_speed_within_range() {
         let model = RandomWaypoint::new(Region::PAPER_SQUARE, 5.0, 10.0, 0.0);
-        let mut rng = StdRng::seed_from_u64(3);
-        let traj = model.trajectory(Point2::new(500.0, 500.0), 300.0, &mut rng);
-        for i in 1..60 {
-            let s = traj.speed_at(i as f64 * 5.0);
+        let arena = one_node(&model, 300.0, 3);
+        let kf = arena.keyframes(0);
+        assert!(kf.len() > 2);
+        for w in kf.windows(2) {
+            let s = w[0].1.dist(w[1].1) / (w[1].0 - w[0].0);
             if s > 0.0 {
                 assert!(
                     (5.0 - 1e-9..=10.0 + 1e-9).contains(&s),
@@ -164,11 +171,10 @@ mod tests {
     #[test]
     fn rwp_pause_inserts_zero_speed_intervals() {
         let model = RandomWaypoint::new(Region::PAPER_SQUARE, 10.0, 10.0, 5.0);
-        let mut rng = StdRng::seed_from_u64(4);
-        let traj = model.trajectory(Point2::new(500.0, 500.0), 400.0, &mut rng);
+        let arena = one_node(&model, 400.0, 4);
         // Pauses appear as consecutive keyframes at the same position.
-        let has_pause = traj
-            .keyframes()
+        let has_pause = arena
+            .keyframes(0)
             .windows(2)
             .any(|w| w[0].1 == w[1].1 && w[1].0 > w[0].0);
         assert!(has_pause);
@@ -178,11 +184,11 @@ mod tests {
     fn deployment_generates_n_trajectories() {
         let model = RandomWaypoint::paper(Region::PAPER_STRIP);
         let mut rng = StdRng::seed_from_u64(6);
-        let trajs = model.deployment(Region::PAPER_STRIP, 50, 100.0, &mut rng);
-        assert_eq!(trajs.len(), 50);
+        let arena = model.deployment(Region::PAPER_STRIP, 50, 100.0, &mut rng);
+        assert_eq!(arena.len(), 50);
         // Starting positions are spread out (not all identical).
-        let first = trajs[0].position_at(0.0);
-        assert!(trajs.iter().any(|t| t.position_at(0.0) != first));
+        let first = arena.position_at(0, 0.0);
+        assert!((0..arena.len()).any(|i| arena.position_at(i, 0.0) != first));
     }
 
     #[test]

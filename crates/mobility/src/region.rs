@@ -87,11 +87,6 @@ impl Region {
             rng.random_range(0.0..=self.height),
         )
     }
-
-    /// Deploys `n` nodes uniformly at random.
-    pub fn deploy<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<Point2> {
-        (0..n).map(|_| self.random_point(rng)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -114,8 +109,8 @@ mod tests {
         let r = Region::PAPER_STRIP;
         let mut rng1 = StdRng::seed_from_u64(42);
         let mut rng2 = StdRng::seed_from_u64(42);
-        let a = r.deploy(50, &mut rng1);
-        let b = r.deploy(50, &mut rng2);
+        let a: Vec<Point2> = (0..50).map(|_| r.random_point(&mut rng1)).collect();
+        let b: Vec<Point2> = (0..50).map(|_| r.random_point(&mut rng2)).collect();
         assert_eq!(a, b, "deployment must be deterministic per seed");
         assert!(a.iter().all(|&p| r.contains(p)));
         assert_eq!(a.len(), 50);

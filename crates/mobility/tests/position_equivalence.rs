@@ -1,12 +1,12 @@
 //! Refactor-safety properties for trajectory evaluation: the fast paths
-//! in [`Trajectory::position_at`] (O(1) 1-/2-keyframe returns) and the
-//! arena view's hint-accelerated path must be *bit-identical* to the
+//! in [`DeploymentArena::position_at`] (O(1) 1-/2-keyframe returns and
+//! the hint-accelerated segment check) must be *bit-identical* to the
 //! plain binary-search reference on every input — the simulator's grid
 //! exactness and run determinism both hang on position evaluation being
 //! a pure function of `(keyframes, t)`.
 
 use glr_geometry::Point2;
-use glr_mobility::{DeploymentArena, RandomWaypoint, Region, Trajectory};
+use glr_mobility::{DeploymentArena, RandomWaypoint, Region};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,38 +66,36 @@ proptest! {
         kf in keyframes_strategy(12),
         queries in proptest::collection::vec(0.0f64..130.0, 1..40),
     ) {
-        let traj = Trajectory::from_keyframes(kf.clone());
-        let arena = DeploymentArena::from_trajectories(std::slice::from_ref(&traj));
+        let mut arena = DeploymentArena::new();
+        arena.push(&kf);
         for &q in &queries {
             let want = reference_position_at(&kf, q);
-            assert_bits_eq(want, traj.position_at(q), &format!("Trajectory, t={q}"));
-            // The arena view carries hint state *across* queries; feeding
-            // it the same non-monotone sequence exercises stale hints.
+            // The arena carries hint state *across* queries; feeding it
+            // a non-monotone sequence exercises stale hints.
             assert_bits_eq(want, arena.position_at(0, q), &format!("arena, t={q}"));
         }
         // Exact keyframe times are the boundary the segment choice could
-        // get wrong; check every one of them on both paths.
+        // get wrong; check every one of them.
         for &(t, p) in &kf {
-            assert_bits_eq(p, traj.position_at(t), &format!("keyframe t={t}"));
             assert_bits_eq(p, arena.position_at(0, t), &format!("arena keyframe t={t}"));
         }
     }
 }
 
 /// A realistic random-waypoint deployment: the arena must agree with the
-/// `Vec<Trajectory>` it interned at every node and time, bit for bit.
+/// reference evaluation of each node's keyframes at every node and time,
+/// bit for bit.
 #[test]
 fn arena_matches_deployment_bit_exactly() {
     let region = Region::PAPER_STRIP;
     let model = RandomWaypoint::paper(region);
     let mut rng = StdRng::seed_from_u64(2024);
-    let trajs = model.deployment(region, 300, 900.0, &mut rng);
-    let arena = DeploymentArena::from_trajectories(&trajs);
-    for (i, traj) in trajs.iter().enumerate() {
+    let arena = model.deployment(region, 300, 900.0, &mut rng);
+    for i in 0..arena.len() {
         for step in 0..64 {
             let t = step as f64 * 14.3;
             assert_bits_eq(
-                traj.position_at(t),
+                reference_position_at(arena.keyframes(i), t),
                 arena.position_at(i, t),
                 &format!("node {i} t {t}"),
             );

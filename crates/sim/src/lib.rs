@@ -56,8 +56,9 @@
 //! so [`RunStats`] are bit-identical for any thread count and any shard
 //! split.
 //!
-//! Each worker builds and runs its simulations itself, and only the
-//! [`RunStats`] cross threads. The engine relies on that: beacon
+//! Each worker builds and runs its simulations itself, and only the run
+//! function's result (a [`RunStats`] or a [`RunMetrics`] row) crosses
+//! threads. The engine relies on that: beacon
 //! snapshots and neighbour views are shared through `Rc`, not `Arc`, so
 //! [`Simulation`], [`NeighborTables`] and [`NeighborsView`] are `!Send`.
 //!
@@ -78,10 +79,14 @@
 //! [`RunStats`]; `tests/grid_equivalence.rs` checks the grid's raw
 //! queries against a plain scan.
 //!
-//! Single-run memory is flat: the whole deployment's trajectories are
-//! interned into one contiguous [`glr_mobility::DeploymentArena`]
-//! keyframe buffer (offsets + per-node segment hints) instead of one
-//! heap `Vec` per node, and all position sampling reads it. Per-node
+//! Single-run memory is flat: random waypoint writes the whole
+//! deployment's trajectories straight into one contiguous
+//! [`glr_mobility::DeploymentArena`] keyframe buffer (offsets + per-node
+//! segment hints), with no per-node `Vec` on the way, and all position
+//! sampling reads it. Across a sweep, each worker distils a finished run
+//! into whatever the caller keeps (a [`RunMetrics`] row in the
+//! experiment harness), so a run's per-message records are freed when
+//! the run ends, not when the sweep does. Per-node
 //! protocol state is compact: thin `Rc`-only beacon snapshots, a
 //! single-probe peer map with 32-byte entries, and the cold view caches
 //! split out of the hot per-node tables ([`TableFootprint`] reports the
@@ -167,7 +172,7 @@ pub use scenario::{MediumKind, Scenario, WorkloadSpec};
 pub use sim::{Ctx, Protocol, Simulation};
 pub use space::SpatialIndex;
 pub use stats::{summarize, MessageRecord, RunStats, Summary};
-pub use sweep::{CellRuns, Shard, Sweep, SweepResults};
+pub use sweep::{CellRuns, Sweep};
 pub use time::SimTime;
 pub use workload::{Workload, WorkloadMessage};
 pub use world::World;

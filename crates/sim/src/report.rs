@@ -1,10 +1,10 @@
 //! Shard-mergeable experiment reports: per-run metrics, per-cell run
 //! lists, and a serde-free JSON round trip.
 //!
-//! The sweep engine produces [`crate::RunStats`] per `(cell, run)`;
-//! this module distils each run into a [`RunMetrics`] row (every scalar
-//! the paper's tables consume), groups rows into [`CellReport`]s, and
-//! reads/writes whole [`ReportSet`]s as JSON. The format is designed so
+//! Each `(cell, run)` of a sweep is distilled into a [`RunMetrics`] row
+//! (every scalar the paper's tables consume) on the worker that ran it;
+//! this module groups the rows into [`CellReport`]s and reads/writes
+//! whole [`ReportSet`]s as JSON. The format is designed so
 //! shards produced on different machines — or `--shard i/n` invocations
 //! of the experiments binary — concatenate losslessly:
 //!
@@ -20,7 +20,7 @@
 
 use crate::json::{write_escaped, Json};
 use crate::stats::{summarize, RunStats, Summary};
-use crate::sweep::SweepResults;
+use crate::sweep::CellRuns;
 use std::fmt::Write as _;
 
 /// Writes an `f64` in shortest-round-trip form.
@@ -256,19 +256,22 @@ pub struct ReportSet {
 }
 
 impl ReportSet {
-    /// Builds a report set from sweep results, labelling cell `i` with
-    /// `labels(i)`. The context starts empty; set it with
+    /// Builds a report set from a sweep's metric rows (ascending by
+    /// cell, as [`crate::Sweep::execute`] returns them), labelling cell
+    /// `i` with `labels(i)`. The context starts empty; set it with
     /// [`ReportSet::with_context`] before writing shard files.
-    pub fn from_sweep(results: &SweepResults, labels: impl Fn(usize) -> String) -> Self {
+    pub fn from_sweep(
+        results: Vec<CellRuns<RunMetrics>>,
+        labels: impl Fn(usize) -> String,
+    ) -> Self {
         ReportSet {
             context: String::new(),
             cells: results
-                .cells()
-                .iter()
+                .into_iter()
                 .map(|cr| CellReport {
                     cell: cr.cell,
                     label: labels(cr.cell),
-                    runs: cr.runs.iter().map(RunMetrics::from_stats).collect(),
+                    runs: cr.runs,
                 })
                 .collect(),
         }
@@ -278,12 +281,6 @@ impl ReportSet {
     pub fn with_context(mut self, context: impl Into<String>) -> Self {
         self.context = context.into();
         self
-    }
-
-    /// The report for cell `cell`, if present in this (possibly sharded)
-    /// set.
-    pub fn get(&self, cell: usize) -> Option<&CellReport> {
-        self.cells.iter().find(|c| c.cell == cell)
     }
 
     /// Whether every cell of an `n_cells` sweep is present.
@@ -516,12 +513,12 @@ mod tests {
     #[test]
     fn summaries_from_cells() {
         let set = sample_set();
-        let c = set.get(0).unwrap();
+        let c = &set.cells[0];
         assert!((c.delivery_pct().mean - 62.5).abs() < 1e-12);
         assert_eq!(c.avg_hops().mean, 3.0);
         assert_eq!(c.counter("alpha").mean, 2.0);
         // Undelivered penalty kicks in for the all-lost cell.
-        let lost = set.get(1).unwrap();
+        let lost = &set.cells[1];
         assert_eq!(lost.avg_latency(1000.0).mean, 1000.0);
         assert_eq!(lost.avg_hops().mean, 0.0);
     }

@@ -336,8 +336,7 @@ impl<P: Protocol> Simulation<P> {
             config.speed_range.1,
             config.pause_time,
         );
-        let trajectories =
-            model.deployment(config.region, config.n_nodes, config.sim_duration, &mut rng);
+        let arena = model.deployment(config.region, config.n_nodes, config.sim_duration, &mut rng);
         let n = config.n_nodes;
         let protocols = (0..n as u32)
             .map(|i| Some(factory(NodeId(i), &config)))
@@ -347,7 +346,7 @@ impl<P: Protocol> Simulation<P> {
             .collect();
         let tables = NeighborTables::new(n, config.neighbor_ttl);
         let core = Core {
-            world: World::new(config, trajectories, rng),
+            world: World::new(config, arena, rng),
             events: TimedQueue::new(),
             medium,
             tables,

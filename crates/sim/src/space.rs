@@ -48,8 +48,8 @@ const DRIFT_EPSILON: f64 = 1e-6;
 /// ([`Grid::rebuild`]), so leaning toward frequent rebuilds is cheap.
 const SLACK_FRACTION: f64 = 0.1;
 
-/// A drift-compensated spatial index over the deployment's interned
-/// trajectory arena.
+/// A drift-compensated spatial index over the deployment's trajectory
+/// arena.
 ///
 /// Queries must follow a [`SpatialIndex::refresh`]: an index that was
 /// never refreshed has no grid and answers every query by a full scan
@@ -60,13 +60,12 @@ const SLACK_FRACTION: f64 = 0.1;
 /// ```
 /// use glr_sim::{NodeId, SimTime, SpatialIndex};
 /// use glr_geometry::Point2;
-/// use glr_mobility::{DeploymentArena, Trajectory};
+/// use glr_mobility::DeploymentArena;
 ///
-/// let arena = DeploymentArena::from_trajectories(&[
-///     Trajectory::stationary(Point2::new(0.0, 0.0)),
-///     Trajectory::stationary(Point2::new(30.0, 0.0)),
-///     Trajectory::stationary(Point2::new(500.0, 0.0)),
-/// ]);
+/// let mut arena = DeploymentArena::new();
+/// for x in [0.0, 30.0, 500.0] {
+///     arena.push(&[(0.0, Point2::new(x, 0.0))]); // stationary
+/// }
 /// let mut idx = SpatialIndex::new(arena.len(), 0.0, 100.0);
 /// let t = SimTime::ZERO;
 /// idx.refresh(t, &arena);
@@ -248,20 +247,13 @@ fn in_range(arena: &DeploymentArena, t: f64, center: Point2, range: f64, v: Node
 mod tests {
     use super::*;
 
-    use glr_mobility::Trajectory;
-
     fn moving(trajs: &[(f64, f64, f64, f64)]) -> DeploymentArena {
         // Each node moves from (x0, y0) to (x1, y1) over 100 s.
-        let trajs: Vec<Trajectory> = trajs
-            .iter()
-            .map(|&(x0, y0, x1, y1)| {
-                Trajectory::from_keyframes(vec![
-                    (0.0, Point2::new(x0, y0)),
-                    (100.0, Point2::new(x1, y1)),
-                ])
-            })
-            .collect();
-        DeploymentArena::from_trajectories(&trajs)
+        let mut arena = DeploymentArena::new();
+        for &(x0, y0, x1, y1) in trajs {
+            arena.push(&[(0.0, Point2::new(x0, y0)), (100.0, Point2::new(x1, y1))]);
+        }
+        arena
     }
 
     #[test]

@@ -21,45 +21,31 @@
 //! libm; see [`crate::ShadowingMedium`] for the one medium that leans
 //! on libm-rounded functions).
 //!
+//! The run function returns whatever the caller keeps of a run — whole
+//! [`crate::RunStats`] in the determinism tests, a [`crate::RunMetrics`]
+//! row in the experiment harness — so a worker can distil each run
+//! before handing it back, and per-message records never outlive the
+//! run that produced them.
+//!
 //! Sharding: [`Sweep::with_shard`] restricts execution to every `n`-th
 //! cell so independent invocations (other processes, other machines)
-//! cover disjoint cell sets. Each shard's [`SweepResults`] carries
-//! global cell indices, and [`SweepResults::merge`] reassembles the full
-//! grid exactly as if it had run unsharded.
+//! cover disjoint cell sets. Each shard's [`CellRuns`] carry global cell
+//! indices, and [`crate::ReportSet::merge`] reassembles the shards'
+//! reports exactly as if the grid had run unsharded.
 //!
 //! Resume: [`Sweep::skipping`] excludes already-completed cells (e.g.
 //! those present in a partial report written before an interruption), so
 //! a killed run continues where it stopped; merging the old and new
 //! results is byte-identical to an uninterrupted run.
 
-use crate::stats::RunStats;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Which slice of a sweep's cells one invocation executes: cells with
-/// `index % of == index_of_this_shard`.
+/// Which slice of a sweep's cells one invocation executes: the cells `c`
+/// with `c % of == index`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Shard {
-    /// This shard's index, `0 <= index < of`.
-    pub index: usize,
-    /// Total number of shards.
-    pub of: usize,
-}
-
-impl Shard {
-    /// Creates a shard descriptor.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `index < of`.
-    pub fn new(index: usize, of: usize) -> Self {
-        assert!(index < of, "shard index {index} out of range 0..{of}");
-        Shard { index, of }
-    }
-
-    /// Whether this shard owns cell `cell`.
-    pub fn owns(&self, cell: usize) -> bool {
-        cell % self.of == self.index
-    }
+struct Shard {
+    index: usize,
+    of: usize,
 }
 
 /// The sweep engine: run count, worker threads, an optional shard, and
@@ -106,7 +92,8 @@ impl Sweep {
     ///
     /// Panics unless `index < of`.
     pub fn with_shard(mut self, index: usize, of: usize) -> Self {
-        self.shard = Some(Shard::new(index, of));
+        assert!(index < of, "shard index {index} out of range 0..{of}");
+        self.shard = Some(Shard { index, of });
         self
     }
 
@@ -125,16 +112,12 @@ impl Sweep {
         self
     }
 
-    /// Runs per cell.
-    pub fn runs_per_cell(&self) -> usize {
-        self.runs_per_cell
-    }
-
     /// The global cell indices this sweep will execute.
     fn owned_cells(&self, n_cells: usize) -> Vec<usize> {
         (0..n_cells)
             .filter(|&c| {
-                self.shard.is_none_or(|s| s.owns(c)) && self.skip.binary_search(&c).is_err()
+                self.shard.is_none_or(|s| c % s.of == s.index)
+                    && self.skip.binary_search(&c).is_err()
             })
             .collect()
     }
@@ -142,21 +125,24 @@ impl Sweep {
     /// Executes the sweep across worker threads.
     ///
     /// `run_fn` receives a cell and a run index `0..runs_per_cell` and
-    /// must return that run's [`RunStats`]; it is the caller's job to
-    /// derive the seed from the two (e.g.
-    /// [`crate::Scenario::run_seeded`] with `cell.config.seed + run`).
-    /// `run_fn` must be a pure function of its arguments for the
-    /// determinism guarantee to hold.
+    /// returns what the caller keeps of that run (its
+    /// [`crate::RunStats`], or a [`crate::RunMetrics`] row distilled on
+    /// the worker); it is the caller's job to derive the seed from the
+    /// two (e.g. [`crate::Scenario::run_seeded`] with
+    /// `cell.config.seed + run`). `run_fn` must be a pure function of its
+    /// arguments for the determinism guarantee to hold.
+    ///
+    /// Returns the executed cells in ascending cell order.
     ///
     /// # Panics
     ///
     /// Propagates the panic of a failing run once the other workers
     /// have drained the queue.
-    pub fn execute<C: Sync>(
+    pub fn execute<C: Sync, R: Send>(
         &self,
         cells: &[C],
-        run_fn: impl Fn(&C, usize) -> RunStats + Send + Sync,
-    ) -> SweepResults {
+        run_fn: impl Fn(&C, usize) -> R + Send + Sync,
+    ) -> Vec<CellRuns<R>> {
         let owned = self.owned_cells(cells.len());
         let units: Vec<(usize, usize)> = owned
             .iter()
@@ -167,7 +153,7 @@ impl Sweep {
             return self.execute_serial(cells, run_fn);
         }
         let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<RunStats>> = units.iter().map(|_| None).collect();
+        let mut slots: Vec<Option<R>> = units.iter().map(|_| None).collect();
         std::thread::scope(|scope| {
             let workers: Vec<_> = (0..threads)
                 .map(|_| {
@@ -187,8 +173,8 @@ impl Sweep {
                 let done = worker
                     .join()
                     .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-                for (i, stats) in done {
-                    slots[i] = Some(stats);
+                for (i, result) in done {
+                    slots[i] = Some(result);
                 }
             }
         });
@@ -196,7 +182,7 @@ impl Sweep {
         let mut flat = slots
             .into_iter()
             .map(|s| s.expect("every unit index is claimed exactly once"));
-        let cells = owned
+        owned
             .into_iter()
             .map(|cell| CellRuns {
                 cell,
@@ -204,20 +190,18 @@ impl Sweep {
                     .map(|_| flat.next().expect("unit count mismatch"))
                     .collect(),
             })
-            .collect();
-        SweepResults { cells }
+            .collect()
     }
 
     /// Executes the sweep on the calling thread — the reference the
     /// parallel path is validated against, and the variant for stateful
     /// (`FnMut`) run functions.
-    pub fn execute_serial<C>(
+    pub fn execute_serial<C, R>(
         &self,
         cells: &[C],
-        mut run_fn: impl FnMut(&C, usize) -> RunStats,
-    ) -> SweepResults {
-        let cells = self
-            .owned_cells(cells.len())
+        mut run_fn: impl FnMut(&C, usize) -> R,
+    ) -> Vec<CellRuns<R>> {
+        self.owned_cells(cells.len())
             .into_iter()
             .map(|cell| CellRuns {
                 cell,
@@ -225,69 +209,25 @@ impl Sweep {
                     .map(|r| run_fn(&cells[cell], r))
                     .collect(),
             })
-            .collect();
-        SweepResults { cells }
+            .collect()
     }
 }
 
 /// One executed cell: its global index in the sweep's cell list and the
-/// statistics of its seeded runs, in run order.
+/// results of its seeded runs, in run order.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CellRuns {
+pub struct CellRuns<R> {
     /// Global cell index (stable across shards).
     pub cell: usize,
-    /// Per-run statistics, indexed by run.
-    pub runs: Vec<RunStats>,
-}
-
-/// Results of a sweep (or of one shard of it), ordered by cell index.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SweepResults {
-    cells: Vec<CellRuns>,
-}
-
-impl SweepResults {
-    /// The executed cells, ascending by global cell index.
-    pub fn cells(&self) -> &[CellRuns] {
-        &self.cells
-    }
-
-    /// The runs of cell `cell`, if this (possibly sharded) result set
-    /// executed it.
-    pub fn get(&self, cell: usize) -> Option<&CellRuns> {
-        self.cells.iter().find(|c| c.cell == cell)
-    }
-
-    /// Whether every cell of an `n_cells`-cell sweep is present.
-    pub fn is_complete(&self, n_cells: usize) -> bool {
-        self.cells.len() == n_cells && self.cells.iter().enumerate().all(|(i, c)| c.cell == i)
-    }
-
-    /// Merges shard results into one set, re-sorting by cell index —
-    /// the in-memory counterpart of the JSON-level
-    /// [`crate::ReportSet::merge`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if two shards executed the same cell.
-    pub fn merge(parts: Vec<SweepResults>) -> SweepResults {
-        let mut cells: Vec<CellRuns> = parts.into_iter().flat_map(|p| p.cells).collect();
-        cells.sort_by_key(|c| c.cell);
-        for w in cells.windows(2) {
-            assert!(
-                w[0].cell != w[1].cell,
-                "cell {} present in more than one shard",
-                w[0].cell
-            );
-        }
-        SweepResults { cells }
-    }
+    /// Per-run results, indexed by run.
+    pub runs: Vec<R>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::{MessageId, NodeId};
+    use crate::stats::RunStats;
     use crate::time::SimTime;
 
     /// A deterministic fake run derived only from (cell value, run).
@@ -308,6 +248,17 @@ mod tests {
         s
     }
 
+    /// Shard (or resume) outputs concatenated and sorted by cell.
+    fn concat_sorted(parts: Vec<Vec<CellRuns<RunStats>>>) -> Vec<CellRuns<RunStats>> {
+        let mut cells: Vec<_> = parts.into_iter().flatten().collect();
+        cells.sort_by_key(|c| c.cell);
+        cells
+    }
+
+    fn cell_ids(cells: &[CellRuns<RunStats>]) -> Vec<usize> {
+        cells.iter().map(|c| c.cell).collect()
+    }
+
     #[test]
     fn parallel_matches_serial_bit_for_bit() {
         let cells: Vec<u64> = (0..13).collect();
@@ -324,17 +275,15 @@ mod tests {
         let cells: Vec<u64> = (0..11).collect();
         let run_fn = |c: &u64, r: usize| fake_run(*c, r);
         let full = Sweep::new(2).execute(&cells, run_fn);
-        assert!(full.is_complete(cells.len()));
-        let parts: Vec<SweepResults> = (0..3)
+        assert_eq!(cell_ids(&full), (0..cells.len()).collect::<Vec<_>>());
+        let parts: Vec<_> = (0..3)
             .map(|i| Sweep::new(2).with_shard(i, 3).execute(&cells, run_fn))
             .collect();
         // Disjoint cover.
-        let counts: usize = parts.iter().map(|p| p.cells().len()).sum();
+        let counts: usize = parts.iter().map(Vec::len).sum();
         assert_eq!(counts, cells.len());
-        assert!(!parts[0].is_complete(cells.len()));
-        let merged = SweepResults::merge(parts);
-        assert_eq!(merged, full);
-        assert!(merged.is_complete(cells.len()));
+        assert!(parts[0].len() < cells.len());
+        assert_eq!(concat_sorted(parts), full);
     }
 
     #[test]
@@ -343,8 +292,7 @@ mod tests {
         let res = Sweep::new(1)
             .with_shard(3, 4)
             .execute(&cells, |c, r| fake_run(*c, r));
-        assert!(res.cells().is_empty());
-        assert!(res.get(0).is_none());
+        assert!(res.is_empty());
     }
 
     #[test]
@@ -353,9 +301,8 @@ mod tests {
         let res = Sweep::new(2)
             .with_shard(1, 2)
             .execute(&cells, |c, r| fake_run(*c, r));
-        assert!(res.get(0).is_none());
-        let c3 = res.get(3).expect("shard 1/2 owns odd cells");
-        assert_eq!(c3.cell, 3);
+        assert_eq!(cell_ids(&res), vec![1, 3], "shard 1/2 owns odd cells");
+        let c3 = &res[1];
         assert_eq!(c3.runs.len(), 2);
         assert_eq!(c3.runs[0], fake_run(3, 0));
         assert_eq!(c3.runs[1], fake_run(3, 1));
@@ -368,19 +315,15 @@ mod tests {
         let full = Sweep::new(2).execute(&cells, run_fn);
         // An "interrupted" run finished only cells 0, 3, 4.
         let done = [0usize, 3, 4];
-        let partial = SweepResults {
-            cells: full
-                .cells()
-                .iter()
-                .filter(|c| done.contains(&c.cell))
-                .cloned()
-                .collect(),
-        };
+        let partial: Vec<_> = full
+            .iter()
+            .filter(|c| done.contains(&c.cell))
+            .cloned()
+            .collect();
         let resumed = Sweep::new(2).skipping(done).execute(&cells, run_fn);
-        assert_eq!(resumed.cells().len(), cells.len() - done.len());
-        assert!(resumed.get(3).is_none());
-        let merged = SweepResults::merge(vec![partial, resumed]);
-        assert_eq!(merged, full);
+        assert_eq!(resumed.len(), cells.len() - done.len());
+        assert!(!cell_ids(&resumed).contains(&3));
+        assert_eq!(concat_sorted(vec![partial, resumed]), full);
     }
 
     #[test]
@@ -391,8 +334,7 @@ mod tests {
             .with_shard(0, 2) // owns even cells
             .skipping([0usize, 1, 4])
             .execute(&cells, run_fn);
-        let owned: Vec<usize> = res.cells().iter().map(|c| c.cell).collect();
-        assert_eq!(owned, vec![2, 6, 8]);
+        assert_eq!(cell_ids(&res), vec![2, 6, 8]);
     }
 
     /// A sweep whose unit (cell 5, run 1) panics, at `threads` workers.
@@ -429,21 +371,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "more than one shard")]
-    fn overlapping_merge_rejected() {
-        let cells: Vec<u64> = (0..3).collect();
-        let a = Sweep::new(1).execute(&cells, |c, r| fake_run(*c, r));
-        let b = Sweep::new(1)
-            .with_shard(0, 2)
-            .execute(&cells, |c, r| fake_run(*c, r));
-        let _ = SweepResults::merge(vec![a, b]);
-    }
-
-    #[test]
     fn empty_cell_list_is_fine() {
         let cells: Vec<u64> = Vec::new();
         let res = Sweep::new(5).execute(&cells, |c, r| fake_run(*c, r));
-        assert!(res.cells().is_empty());
-        assert!(res.is_complete(0));
+        assert!(res.is_empty());
     }
 }

@@ -1,5 +1,5 @@
-//! Shared world state: clock, configuration, the interned trajectory
-//! arena, spatial index, RNG and statistics.
+//! Shared world state: clock, configuration, the trajectory arena,
+//! spatial index, RNG and statistics.
 //!
 //! [`World`] is the slice of engine state that both the engine and the
 //! pluggable [`crate::Medium`] need: a medium implementation receives
@@ -12,10 +12,10 @@
 //! beacon fan-out and is not part of the medium's interface.
 //!
 //! Node mobility lives in a [`DeploymentArena`]: every node's
-//! piecewise-linear trajectory interned into one contiguous keyframe
-//! buffer, so the `position_at` hot path (spatial-index candidate
-//! filtering, medium range and interference checks, grid rebuilds) walks
-//! flat memory instead of chasing one heap allocation per node.
+//! piecewise-linear trajectory in one contiguous keyframe buffer, so the
+//! `position_at` hot path (spatial-index candidate filtering, medium
+//! range and interference checks, grid rebuilds) walks flat memory
+//! instead of chasing one heap allocation per node.
 
 use crate::config::SimConfig;
 use crate::ids::NodeId;
@@ -23,7 +23,7 @@ use crate::space::SpatialIndex;
 use crate::stats::RunStats;
 use crate::time::SimTime;
 use glr_geometry::Point2;
-use glr_mobility::{DeploymentArena, Trajectory};
+use glr_mobility::DeploymentArena;
 use rand::rngs::StdRng;
 
 /// The simulated world as seen by the engine and the radio medium.
@@ -38,8 +38,7 @@ pub struct World {
 }
 
 impl World {
-    pub(crate) fn new(config: SimConfig, trajectories: Vec<Trajectory>, rng: StdRng) -> Self {
-        let arena = DeploymentArena::from_trajectories(&trajectories);
+    pub(crate) fn new(config: SimConfig, arena: DeploymentArena, rng: StdRng) -> Self {
         let index = SpatialIndex::from_config(&config);
         let stats = RunStats::new(config.n_nodes);
         World {
@@ -64,12 +63,7 @@ impl World {
 
     /// Ground-truth position of `node` at the current time.
     pub fn pos(&self, node: NodeId) -> Point2 {
-        self.pos_at(node, self.now)
-    }
-
-    /// Ground-truth position of `node` at an arbitrary time.
-    pub fn pos_at(&self, node: NodeId, t: SimTime) -> Point2 {
-        self.arena.position_at(node.index(), t.as_secs())
+        self.arena.position_at(node.index(), self.now.as_secs())
     }
 
     /// Calls `f` for every node currently within `range` of `p`, excluding

@@ -45,7 +45,7 @@ proptest! {
         let region = Region::new(w, h);
         let model = RandomWaypoint::new(region, 0.0, 20.0, 0.0);
         let mut rng = StdRng::seed_from_u64(seed);
-        let trajs = DeploymentArena::from_trajectories(&model.deployment(region, n, 300.0, &mut rng));
+        let trajs = model.deployment(region, n, 300.0, &mut rng);
 
         let mut grid = SpatialIndex::new(n, 20.0, range);
 

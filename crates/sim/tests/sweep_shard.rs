@@ -5,8 +5,8 @@
 //! an unsharded run would have written.
 
 use glr_sim::{
-    Ctx, MediumKind, MessageInfo, NodeId, PacketKind, Protocol, ReportSet, RunStats, Scenario,
-    SimConfig, Sweep, SweepResults,
+    CellRuns, Ctx, MediumKind, MessageInfo, NodeId, PacketKind, Protocol, ReportSet, RunMetrics,
+    RunStats, Scenario, SimConfig, Sweep,
 };
 
 /// Forwards to the destination when it is in (true) range.
@@ -52,6 +52,11 @@ fn run_cell(sc: &Scenario, run: usize) -> RunStats {
     sc.run_nth(run, |_, _| Direct)
 }
 
+/// What the experiment harness keeps of a run: its metric row.
+fn run_metrics(sc: &Scenario, run: usize) -> RunMetrics {
+    RunMetrics::from_stats(&run_cell(sc, run))
+}
+
 const RUNS: usize = 2;
 
 #[test]
@@ -72,16 +77,17 @@ fn sweep_is_bit_identical_across_thread_counts() {
 fn shard_split_reassembles_exactly() {
     let cells = grid();
     let full = Sweep::new(RUNS).execute(&cells, run_cell);
-    assert!(full.is_complete(cells.len()));
+    let full_cells: Vec<usize> = full.iter().map(|c| c.cell).collect();
+    assert_eq!(full_cells, (0..cells.len()).collect::<Vec<_>>());
     for n_shards in [2usize, 3, 4] {
-        let parts: Vec<SweepResults> = (0..n_shards)
-            .map(|i| {
+        let mut merged: Vec<CellRuns<RunStats>> = (0..n_shards)
+            .flat_map(|i| {
                 Sweep::new(RUNS)
                     .with_shard(i, n_shards)
                     .execute(&cells, run_cell)
             })
             .collect();
-        let merged = SweepResults::merge(parts);
+        merged.sort_by_key(|c| c.cell);
         assert_eq!(merged, full, "{n_shards}-way shard split diverged");
     }
 }
@@ -91,14 +97,16 @@ fn shard_json_merge_matches_unsharded_byte_for_byte() {
     let cells = grid();
     let label = |i: usize| cells[i].label.clone();
 
-    let full = ReportSet::from_sweep(&Sweep::new(RUNS).execute(&cells, run_cell), label);
+    let full = ReportSet::from_sweep(Sweep::new(RUNS).execute(&cells, run_metrics), label);
     let full_json = full.to_json();
 
     // Two shard "machines" write their JSON files independently...
     let shard_jsons: Vec<String> = (0..2)
         .map(|i| {
-            let res = Sweep::new(RUNS).with_shard(i, 2).execute(&cells, run_cell);
-            ReportSet::from_sweep(&res, label).to_json()
+            let res = Sweep::new(RUNS)
+                .with_shard(i, 2)
+                .execute(&cells, run_metrics);
+            ReportSet::from_sweep(res, label).to_json()
         })
         .collect();
 
@@ -120,7 +128,7 @@ fn kill_and_resume_round_trip_is_byte_identical() {
     let context = "grid=test; runs=2";
 
     // The uninterrupted reference run.
-    let full_json = ReportSet::from_sweep(&Sweep::new(RUNS).execute(&cells, run_cell), label)
+    let full_json = ReportSet::from_sweep(Sweep::new(RUNS).execute(&cells, run_metrics), label)
         .with_context(context)
         .to_json();
 
@@ -129,8 +137,8 @@ fn kill_and_resume_round_trip_is_byte_identical() {
     let finished = [0usize, 2, 5];
     let killed = Sweep::new(RUNS)
         .skipping((0..cells.len()).filter(|c| !finished.contains(c)))
-        .execute(&cells, run_cell);
-    let partial_json = ReportSet::from_sweep(&killed, label)
+        .execute(&cells, run_metrics);
+    let partial_json = ReportSet::from_sweep(killed, label)
         .with_context(context)
         .to_json();
 
@@ -139,8 +147,8 @@ fn kill_and_resume_round_trip_is_byte_identical() {
     let partial = ReportSet::from_json(&partial_json).expect("partial report parses");
     let resumed = Sweep::new(RUNS)
         .skipping(partial.completed_cells())
-        .execute(&cells, run_cell);
-    let resumed_report = ReportSet::from_sweep(&resumed, label).with_context(context);
+        .execute(&cells, run_metrics);
+    let resumed_report = ReportSet::from_sweep(resumed, label).with_context(context);
     assert_eq!(
         resumed_report.completed_cells(),
         vec![1usize, 3, 4],
@@ -154,8 +162,15 @@ fn kill_and_resume_round_trip_is_byte_identical() {
 fn report_summaries_match_sweep_stats() {
     let cells = grid();
     let results = Sweep::new(RUNS).execute(&cells, run_cell);
-    let report = ReportSet::from_sweep(&results, |i| cells[i].label.clone());
-    for (cr, rep) in results.cells().iter().zip(&report.cells) {
+    let rows = results
+        .iter()
+        .map(|cr| CellRuns {
+            cell: cr.cell,
+            runs: cr.runs.iter().map(RunMetrics::from_stats).collect(),
+        })
+        .collect();
+    let report = ReportSet::from_sweep(rows, |i| cells[i].label.clone());
+    for (cr, rep) in results.iter().zip(&report.cells) {
         let mean_ratio =
             cr.runs.iter().map(RunStats::delivery_ratio).sum::<f64>() / cr.runs.len() as f64;
         assert!((rep.delivery_pct().mean - mean_ratio * 100.0).abs() < 1e-9);

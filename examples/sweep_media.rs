@@ -7,7 +7,7 @@
 //! ```
 
 use glr::core::{Glr, GlrConfig};
-use glr::sim::{MediumKind, ReportSet, Scenario, SimConfig, Sweep, SweepResults};
+use glr::sim::{MediumKind, ReportSet, RunMetrics, Scenario, SimConfig, Sweep};
 
 fn main() {
     // The grid: two radio ranges × three media, 300 simulated seconds,
@@ -29,11 +29,20 @@ fn main() {
     }
     let runs = 3;
     let glr = GlrConfig::paper();
-    let run_cell = |sc: &Scenario, run: usize| sc.run_nth(run, Glr::factory(glr.clone()));
+    // Each worker keeps only the run's metric row.
+    let run_cell = |sc: &Scenario, run: usize| {
+        RunMetrics::from_stats(&sc.run_nth(run, Glr::factory(glr.clone())))
+    };
 
     // One work queue, all (cell, run) units, as many threads as cores.
     let results = Sweep::new(runs).execute(&cells, run_cell);
-    let report = ReportSet::from_sweep(&results, |i| cells[i].label.clone());
+    // The in-memory flavour of the determinism guarantee: the parallel
+    // sweep equals the serial one.
+    let serial = Sweep::new(runs)
+        .with_threads(1)
+        .execute_serial(&cells, run_cell);
+    assert_eq!(serial, results);
+    let report = ReportSet::from_sweep(results, |i| cells[i].label.clone());
 
     println!("GLR across media — {} cells x {} runs", cells.len(), runs);
     println!(
@@ -56,7 +65,7 @@ fn main() {
     let shards: Vec<String> = (0..2)
         .map(|i| {
             let part = Sweep::new(runs).with_shard(i, 2).execute(&cells, run_cell);
-            ReportSet::from_sweep(&part, |c| cells[c].label.clone()).to_json()
+            ReportSet::from_sweep(part, |c| cells[c].label.clone()).to_json()
         })
         .collect();
     let merged = ReportSet::merge(
@@ -68,11 +77,5 @@ fn main() {
     .expect("shards are disjoint");
     assert_eq!(merged.to_json(), report.to_json());
     println!("\nshard 0/2 + shard 1/2 merged == unsharded report (byte-identical)");
-
-    // And the in-memory flavour of the same guarantee.
-    let serial = Sweep::new(runs)
-        .with_threads(1)
-        .execute_serial(&cells, run_cell);
-    assert_eq!(SweepResults::merge(vec![serial]), results);
-    println!("parallel sweep == serial sweep (bit-identical RunStats)");
+    println!("parallel sweep == serial sweep (bit-identical run metrics)");
 }

@@ -166,8 +166,8 @@ fn parallel_multi_run_matches_serial_for_glr() {
     let sweep = Sweep::new(4).with_threads(4);
     let par = sweep.execute(&cells, run_fn);
     let ser = sweep.execute_serial(&cells, run_fn);
-    assert_eq!(par.cells()[0].runs.len(), 4);
-    for (p, s) in par.cells()[0].runs.iter().zip(&ser.cells()[0].runs) {
+    assert_eq!(par[0].runs.len(), 4);
+    for (p, s) in par[0].runs.iter().zip(&ser[0].runs) {
         assert_eq!(p, s, "parallel GLR run diverged from serial");
     }
 }
