@@ -91,11 +91,10 @@ fn bench_deployment_footprint(c: &mut Criterion) {
     let mut g = c.benchmark_group("deployment");
     for n in [10_000usize, 100_000] {
         let scale = (n as f64 / 50.0).sqrt();
-        let region = Region::new(1500.0 * scale, 300.0 * scale);
-        let model = RandomWaypoint::new(region, 0.0, 20.0, 0.0);
+        let model = RandomWaypoint::new(Region::new(1500.0 * scale, 300.0 * scale), 0.0, 20.0, 0.0);
         // Paper-duration trajectories: this is where keyframe counts are
         // realistic.
-        let build = || model.deployment(region, n, 3800.0, &mut StdRng::seed_from_u64(7));
+        let build = || model.deployment(n, 3800.0, &mut StdRng::seed_from_u64(7));
         let arena = build();
         println!(
             "deployment_footprint/{n}: arena {} B ({} B/node, {} keyframes)",

@@ -38,7 +38,7 @@ fn deployment(n: usize, duration: f64, seed: u64) -> (Region, DeploymentArena) {
     let region = Region::new(1500.0 * scale, 300.0 * scale);
     let model = RandomWaypoint::new(region, 0.0, 20.0, 0.0);
     let mut rng = StdRng::seed_from_u64(seed);
-    (region, model.deployment(region, n, duration, &mut rng))
+    (region, model.deployment(n, duration, &mut rng))
 }
 
 fn index(n: usize, trajs: &DeploymentArena) -> SpatialIndex {
@@ -142,10 +142,9 @@ fn tables_fixture(
     seed: u64,
 ) -> (Vec<glr_geometry::Point2>, Vec<Vec<NodeId>>) {
     let scale = (n as f64 / 50.0).powf(exponent);
-    let region = Region::new(1500.0 * scale, 300.0 * scale);
-    let model = RandomWaypoint::new(region, 0.0, 20.0, 0.0);
+    let model = RandomWaypoint::new(Region::new(1500.0 * scale, 300.0 * scale), 0.0, 20.0, 0.0);
     let mut rng = StdRng::seed_from_u64(seed);
-    let trajs = model.deployment(region, n, 10.0, &mut rng);
+    let trajs = model.deployment(n, 10.0, &mut rng);
     let positions: Vec<_> = (0..n).map(|u| trajs.position_at(u, 0.0)).collect();
     let mut idx = SpatialIndex::new(n, 20.0, RANGE);
     idx.refresh(SimTime::ZERO, &trajs);

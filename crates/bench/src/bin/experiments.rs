@@ -28,7 +28,7 @@
 //! Run all shards on the same build: grids containing the shadowing
 //! medium evaluate libm-rounded `ln`/`cos`/`log10`, so hosts with a
 //! different libm may diverge in the last ulp (see
-//! `glr_sim::ShadowingMedium`).
+//! `glr_sim::MediumKind::Shadowing`).
 //!
 //! Effort levels: `--quick` (2 seeds, quarter workloads — CI smoke),
 //! default (5 seeds, full workloads), `--full` (10 seeds, full workloads —

@@ -219,7 +219,8 @@ impl Triangulation {
     /// Converts the edge set to a [`crate::Graph`] on the same vertex
     /// indices; `n` is the number of points the triangulation was built
     /// from.
-    pub fn to_graph(&self, n: usize) -> crate::Graph {
+    #[cfg(test)]
+    pub(crate) fn to_graph(&self, n: usize) -> crate::Graph {
         let mut g = crate::Graph::new(n);
         for &(u, v) in &self.edges {
             g.add_edge(u, v);
@@ -851,6 +852,23 @@ mod tests {
             // 1/64 m snapping makes ties and cocircular quadruples likely; the
             // walk may fall back, but never answers wrongly.
             star_answers(&pts);
+        }
+
+        #[test]
+        fn delaunay_is_plane(pts in points(3..25)) {
+            let tri = Triangulation::build(&pts);
+            let g = tri.to_graph(pts.len());
+            prop_assert!(crate::is_plane_drawing(&g, &pts));
+        }
+
+        #[test]
+        fn stretch_at_least_one(pts in points(2..15)) {
+            let tri = Triangulation::build(&pts);
+            let g = tri.to_graph(pts.len());
+            let r = crate::euclidean_stretch(&g, &pts);
+            prop_assert!(r.max_stretch >= 1.0 - 1e-9);
+            prop_assert!(r.mean_stretch >= 1.0 - 1e-9);
+            prop_assert!(r.mean_stretch <= r.max_stretch + 1e-9);
         }
     }
 }

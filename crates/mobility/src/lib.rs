@@ -16,7 +16,7 @@
 //! let region = Region::PAPER_STRIP;
 //! let model = RandomWaypoint::paper(region);
 //! let mut rng = StdRng::seed_from_u64(42);
-//! let arena = model.deployment(region, 50, 1200.0, &mut rng);
+//! let arena = model.deployment(50, 1200.0, &mut rng);
 //! assert_eq!(arena.len(), 50);
 //! // Sample node 0 halfway through the simulation:
 //! let p = arena.position_at(0, 600.0);

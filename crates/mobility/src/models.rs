@@ -22,7 +22,7 @@ use rand::Rng;
 ///
 /// let model = RandomWaypoint::paper(Region::PAPER_STRIP);
 /// let mut rng = StdRng::seed_from_u64(7);
-/// let arena = model.deployment(Region::PAPER_STRIP, 3, 100.0, &mut rng);
+/// let arena = model.deployment(3, 100.0, &mut rng);
 /// // Every node's last keyframe lies at or past the requested duration.
 /// assert!((0..3).all(|i| arena.keyframes(i).last().unwrap().0 >= 100.0));
 /// ```
@@ -66,16 +66,16 @@ impl RandomWaypoint {
         RandomWaypoint::new(region, 0.0, 20.0, 0.0)
     }
 
-    /// Writes one node's keyframes, starting at `start` and covering
-    /// `[0, duration]`, into `keyframes` (cleared first).
+    /// Writes one node's keyframes, starting at a uniform point of the
+    /// region and covering `[0, duration]`, into `keyframes` (cleared
+    /// first).
     fn trajectory<R: Rng + ?Sized>(
         &self,
-        start: Point2,
         duration: f64,
         rng: &mut R,
         keyframes: &mut Vec<(f64, Point2)>,
     ) {
-        let mut pos = self.region.clamp(start);
+        let mut pos = self.region.random_point(rng);
         keyframes.clear();
         keyframes.push((0.0, pos));
         let mut t = 0.0;
@@ -98,10 +98,10 @@ impl RandomWaypoint {
     }
 
     /// Generates trajectories for a whole deployment: nodes start uniformly
-    /// at random inside `region`. Node `i` is the arena's `i`-th entry.
+    /// at random inside the model's region. Node `i` is the arena's `i`-th
+    /// entry.
     pub fn deployment<R: Rng + ?Sized>(
         &self,
-        region: Region,
         n: usize,
         duration: f64,
         rng: &mut R,
@@ -109,8 +109,7 @@ impl RandomWaypoint {
         let mut arena = DeploymentArena::new();
         let mut keyframes = Vec::new();
         for _ in 0..n {
-            let start = region.random_point(rng);
-            self.trajectory(start, duration, rng, &mut keyframes);
+            self.trajectory(duration, rng, &mut keyframes);
             arena.push(&keyframes);
         }
         arena.shrink_to_fit();
@@ -127,7 +126,7 @@ mod tests {
     /// One node moving by `model` for `duration` seconds.
     fn one_node(model: &RandomWaypoint, duration: f64, seed: u64) -> DeploymentArena {
         let mut rng = StdRng::seed_from_u64(seed);
-        model.deployment(Region::PAPER_SQUARE, 1, duration, &mut rng)
+        model.deployment(1, duration, &mut rng)
     }
 
     #[test]
@@ -135,7 +134,7 @@ mod tests {
         let region = Region::PAPER_STRIP;
         let model = RandomWaypoint::paper(region);
         let mut rng = StdRng::seed_from_u64(1);
-        let arena = model.deployment(region, 1, 500.0, &mut rng);
+        let arena = model.deployment(1, 500.0, &mut rng);
         assert!(arena.keyframes(0).last().unwrap().0 >= 500.0);
         for i in 0..100 {
             let p = arena.position_at(0, i as f64 * 5.0);
@@ -184,7 +183,7 @@ mod tests {
     fn deployment_generates_n_trajectories() {
         let model = RandomWaypoint::paper(Region::PAPER_STRIP);
         let mut rng = StdRng::seed_from_u64(6);
-        let arena = model.deployment(Region::PAPER_STRIP, 50, 100.0, &mut rng);
+        let arena = model.deployment(50, 100.0, &mut rng);
         assert_eq!(arena.len(), 50);
         // Starting positions are spread out (not all identical).
         let first = arena.position_at(0, 0.0);

@@ -87,10 +87,9 @@ proptest! {
 /// bit for bit.
 #[test]
 fn arena_matches_deployment_bit_exactly() {
-    let region = Region::PAPER_STRIP;
-    let model = RandomWaypoint::paper(region);
+    let model = RandomWaypoint::paper(Region::PAPER_STRIP);
     let mut rng = StdRng::seed_from_u64(2024);
-    let arena = model.deployment(region, 300, 900.0, &mut rng);
+    let arena = model.deployment(300, 900.0, &mut rng);
     for i in 0..arena.len() {
         for step in 0..64 {
             let t = step as f64 * 14.3;

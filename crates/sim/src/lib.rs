@@ -25,7 +25,7 @@
 //! | module | responsibility |
 //! |---|---|
 //! | [`mod@sim`] | event sequencing: pops one event at a time, advances the clock, dispatches it on one thread |
-//! | [`mod@medium`] | radio/PHY behind the pluggable [`Medium`] trait: [`ContentionMedium`] (default), [`IdealMedium`], [`ShadowingMedium`], [`DutyCycledMedium`] |
+//! | [`mod@medium`] | radio/PHY behind the [`Medium`] trait: one queue layer whose access delay and loss come from a [`MediumKind`] (contention by default, ideal, shadowing, duty-cycled) |
 //! | [`mod@neighbors`] | IMEP beacon sensing: `Rc`-interned beacon snapshots and incrementally merged 1-/2-hop tables with TTL expiry ([`NeighborTables`]) |
 //! | [`mod@space`] | beacon receiver sets: an exact, drift-compensated grid index ([`SpatialIndex`]) |
 //! | [`mod@world`] | shared state: clock, trajectories, RNG, statistics |
@@ -35,11 +35,12 @@
 //! | [`mod@queue`] | deterministic time-then-FIFO priority queue ([`TimedQueue`]) |
 //!
 //! Protocols implement [`Protocol`]; [`Simulation`] runs one seed (or
-//! [`Simulation::with_medium`] for an alternate PHY). Experiments are
-//! described as `Vec<`[`Scenario`]`>` and executed by [`Sweep`], which
-//! repeats each cell across seeds ([`Scenario::run_nth`]); a
-//! [`CellReport`] then reports every metric as `mean ± 90 % CI` like
-//! every table in the paper. The sweep's `(cell, run)` work queue fans
+//! [`Simulation::with_boxed_medium`] over another [`MediumKind::build`]
+//! or a custom [`Medium`]). Experiments are described as
+//! `Vec<`[`Scenario`]`>` and executed by [`Sweep`], which repeats each
+//! cell across seeds ([`Scenario::run_nth`]); a [`CellReport`] then
+//! reports every metric as `mean ± 90 % CI` like every table in the
+//! paper. The sweep's `(cell, run)` work queue fans
 //! out across threads — and, via [`Sweep::with_shard`] plus
 //! [`ReportSet::merge`], across machines; [`Sweep::skipping`] resumes an
 //! interrupted run from the cells already present in its partial report.
@@ -160,15 +161,15 @@ pub use ids::{
     BuildIdHasher, IdHasher, MessageId, MessageInfo, MessageMap, MessageSet, NodeId, NodeMap,
 };
 pub use medium::{
-    ContentionMedium, DutyCycledMedium, Frame, IdealMedium, Medium, PacketKind, QueueFull,
-    ShadowingMedium, ShadowingParams, TxResolution, DUTY_SLEEP_DROP, SHADOWING_FADE_LOSS,
+    Frame, Medium, MediumKind, PacketKind, QueueFull, ShadowingParams, TxResolution,
+    DUTY_SLEEP_DROP, SHADOWING_FADE_LOSS,
 };
 pub use neighbors::{
     BeaconSnapshot, NeighborEntry, NeighborTables, NeighborsIter, NeighborsView, TableFootprint,
 };
 pub use queue::TimedQueue;
 pub use report::{CellReport, ReportSet, RunMetrics};
-pub use scenario::{MediumKind, Scenario, WorkloadSpec};
+pub use scenario::{Scenario, WorkloadSpec};
 pub use sim::{Ctx, Protocol, Simulation};
 pub use space::SpatialIndex;
 pub use stats::{summarize, MessageRecord, RunStats, Summary};

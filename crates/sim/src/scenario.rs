@@ -33,97 +33,10 @@
 
 use crate::config::SimConfig;
 use crate::ids::NodeId;
-use crate::medium::{
-    ContentionMedium, DutyCycledMedium, IdealMedium, Medium, ShadowingMedium, ShadowingParams,
-};
+use crate::medium::MediumKind;
 use crate::sim::{Protocol, Simulation};
 use crate::stats::RunStats;
 use crate::workload::Workload;
-
-/// Which radio/PHY model a scenario runs over.
-///
-/// This is the declarative counterpart of the [`Medium`] trait: a value
-/// that names a built-in medium and can be stored in a scenario, printed,
-/// compared, and expanded along a sweep axis. Custom media keep using
-/// [`Simulation::with_medium`] directly.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MediumKind {
-    /// [`ContentionMedium`] — the paper's NS-2-calibrated 802.11 model
-    /// (the default).
-    Contention,
-    /// [`IdealMedium`] — lossless and contention-free, for protocol-logic
-    /// debugging.
-    Ideal,
-    /// [`ShadowingMedium`] — log-distance path loss with per-frame
-    /// log-normal shadowing.
-    Shadowing(ShadowingParams),
-    /// [`DutyCycledMedium`] — any inner medium, with radios that sleep
-    /// for the back `1 - on_fraction` of every `period` seconds and drop
-    /// frames arriving during sleep.
-    DutyCycled {
-        /// The wrapped medium (usually [`MediumKind::Contention`]).
-        inner: Box<MediumKind>,
-        /// Fraction of each period the radio is awake, in `(0, 1]`.
-        on_fraction: f64,
-        /// Sleep/wake cycle length in seconds.
-        period: f64,
-    },
-}
-
-impl MediumKind {
-    /// The shadowing medium with default parameters.
-    pub fn shadowing() -> Self {
-        MediumKind::Shadowing(ShadowingParams::default())
-    }
-
-    /// A duty-cycled wrapper around `inner` with the given wake fraction
-    /// and period.
-    pub fn duty_cycled(inner: MediumKind, on_fraction: f64, period: f64) -> Self {
-        MediumKind::DutyCycled {
-            inner: Box::new(inner),
-            on_fraction,
-            period,
-        }
-    }
-
-    /// Instantiates the medium for `n_nodes` radios.
-    pub fn build<Pk: Clone + std::fmt::Debug + 'static>(
-        &self,
-        n_nodes: usize,
-    ) -> Box<dyn Medium<Pk>> {
-        match self {
-            MediumKind::Contention => Box::new(ContentionMedium::new(n_nodes)),
-            MediumKind::Ideal => Box::new(IdealMedium::new(n_nodes)),
-            MediumKind::Shadowing(p) => Box::new(ShadowingMedium::new(n_nodes, *p)),
-            MediumKind::DutyCycled {
-                inner,
-                on_fraction,
-                period,
-            } => Box::new(DutyCycledMedium::new(
-                inner.build(n_nodes),
-                *on_fraction,
-                *period,
-            )),
-        }
-    }
-
-    /// A short stable name (`"contention"`, `"ideal"`, `"shadowing"`,
-    /// `"duty-cycled"`) for labels and CLI flags.
-    pub fn name(&self) -> &'static str {
-        match self {
-            MediumKind::Contention => "contention",
-            MediumKind::Ideal => "ideal",
-            MediumKind::Shadowing(_) => "shadowing",
-            MediumKind::DutyCycled { .. } => "duty-cycled",
-        }
-    }
-}
-
-impl std::fmt::Display for MediumKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// How a scenario's traffic is generated.
 ///
@@ -155,7 +68,7 @@ pub enum WorkloadSpec {
 /// any host computing `f64` math identically (in practice: the same
 /// binary, or same target + libm); [`MediumKind::Shadowing`] draws
 /// through `ln`/`cos`/`log10`, whose last-ulp rounding is libm's, not
-/// IEEE-mandated — see [`ShadowingMedium`].
+/// IEEE-mandated.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Human-readable label (table row / JSON cell name).

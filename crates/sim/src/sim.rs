@@ -10,7 +10,7 @@
 //!   run RNG, and statistics;
 //! * [`crate::space`] — grid-indexed beacon receiver sets;
 //! * [`crate::medium`] — the pluggable radio/PHY layer
-//!   ([`ContentionMedium`] by default: FIFO transmit queues,
+//!   ([`MediumKind::Contention`] by default: FIFO transmit queues,
 //!   serialisation, carrier-sense backoff, ARQ, probabilistic collision
 //!   loss);
 //! * [`crate::neighbors`] — IMEP-style beacon sensing maintaining stale
@@ -29,7 +29,7 @@
 use crate::config::SimConfig;
 use crate::event::EventKind;
 use crate::ids::{MessageId, MessageInfo, NodeId};
-use crate::medium::{ContentionMedium, Frame, Medium, PacketKind, QueueFull, TxResolution};
+use crate::medium::{Frame, Medium, MediumKind, PacketKind, QueueFull, TxResolution};
 use crate::neighbors::{NeighborEntry, NeighborTables, NeighborsView, TableFootprint};
 use crate::queue::TimedQueue;
 use crate::stats::RunStats;
@@ -276,7 +276,7 @@ pub struct Simulation<P: Protocol> {
 }
 
 impl<P: Protocol> Simulation<P> {
-    /// Builds a simulation with the default [`ContentionMedium`].
+    /// Builds a simulation with the default [`MediumKind::Contention`].
     /// `factory` constructs the protocol instance for each node.
     ///
     /// # Panics
@@ -288,29 +288,12 @@ impl<P: Protocol> Simulation<P> {
         workload: Workload,
         factory: impl FnMut(NodeId, &SimConfig) -> P,
     ) -> Self {
-        let medium = ContentionMedium::new(config.n_nodes);
-        Simulation::with_medium(config, workload, factory, medium)
+        let medium = MediumKind::Contention.build(config.n_nodes);
+        Simulation::with_boxed_medium(config, workload, factory, medium)
     }
 
-    /// Builds a simulation over a custom radio [`Medium`] — the hook for
-    /// alternate PHY models (ideal links, shadowing, duty cycling, …).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid or the workload references
-    /// nodes outside `0..n_nodes`.
-    pub fn with_medium(
-        config: SimConfig,
-        workload: Workload,
-        factory: impl FnMut(NodeId, &SimConfig) -> P,
-        medium: impl Medium<P::Packet> + 'static,
-    ) -> Self {
-        Simulation::with_boxed_medium(config, workload, factory, Box::new(medium))
-    }
-
-    /// Like [`Simulation::with_medium`] for an already-boxed medium — the
-    /// entry point used by [`crate::MediumKind`], where the concrete
-    /// medium type is chosen at run time.
+    /// Builds a simulation over another radio [`Medium`] — a
+    /// [`MediumKind::build`] or a custom PHY model.
     ///
     /// # Panics
     ///
@@ -336,7 +319,7 @@ impl<P: Protocol> Simulation<P> {
             config.speed_range.1,
             config.pause_time,
         );
-        let arena = model.deployment(config.region, config.n_nodes, config.sim_duration, &mut rng);
+        let arena = model.deployment(config.n_nodes, config.sim_duration, &mut rng);
         let n = config.n_nodes;
         let protocols = (0..n as u32)
             .map(|i| Some(factory(NodeId(i), &config)))
@@ -862,12 +845,11 @@ mod tests {
 
     #[test]
     fn custom_medium_is_pluggable() {
-        /// A lossless, contention-free medium: every frame arrives after
-        /// pure serialisation time, regardless of distance.
-        struct IdealMedium<Pk> {
-            inner: ContentionMedium<Pk>,
+        /// Wraps the contention medium and insists that it delivers.
+        struct Lossless<Pk> {
+            inner: Box<dyn Medium<Pk>>,
         }
-        impl<Pk: Clone + std::fmt::Debug> Medium<Pk> for IdealMedium<Pk> {
+        impl<Pk> Medium<Pk> for Lossless<Pk> {
             fn enqueue(
                 &mut self,
                 world: &mut World,
@@ -877,8 +859,6 @@ mod tests {
                 self.inner.enqueue(world, from, frame)
             }
             fn tx_complete(&mut self, world: &mut World, from: NodeId) -> TxResolution<Pk> {
-                // Resolve through the contention model, then overrule any
-                // loss: ideal radios always deliver.
                 match self.inner.tx_complete(world, from) {
                     ok @ TxResolution::Delivered { .. } => ok,
                     _ => panic!("two static in-range nodes must never lose frames"),
@@ -893,17 +873,11 @@ mod tests {
         }
 
         let cfg = two_node_config(8);
-        let n = cfg.n_nodes;
+        let medium = Box::new(Lossless {
+            inner: MediumKind::Contention.build(cfg.n_nodes),
+        });
         let wl = Workload::single(NodeId(0), NodeId(1), 5.0, 1000);
-        let stats = Simulation::with_medium(
-            cfg,
-            wl,
-            |_, _| DirectSend,
-            IdealMedium {
-                inner: ContentionMedium::new(n),
-            },
-        )
-        .run();
+        let stats = Simulation::with_boxed_medium(cfg, wl, |_, _| DirectSend, medium).run();
         assert_eq!(stats.messages_delivered(), 1);
     }
 }

@@ -8,7 +8,7 @@
 //! ([`glr_geometry::Grid`]) rebuilt lazily as simulated time advances.
 //! The contention medium does not use it: its carrier-sense and
 //! interference counts walk the short list of radios on air
-//! ([`crate::ContentionMedium`]).
+//! ([`crate::MediumKind::Contention`]).
 //!
 //! **Exactness.** Node positions move continuously, so a grid built at
 //! time `t` is stale at `t' > t`. The index exploits the mobility model's

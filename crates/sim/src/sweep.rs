@@ -18,8 +18,8 @@
 //! completion order — asserted by the tests here and in
 //! `tests/sweep_shard.rs`. Across machines the same holds whenever the
 //! hosts compute `f64` math identically (same binary, or same target +
-//! libm; see [`crate::ShadowingMedium`] for the one medium that leans
-//! on libm-rounded functions).
+//! libm; see [`crate::MediumKind::Shadowing`] for the one medium that
+//! leans on libm-rounded functions).
 //!
 //! The run function returns whatever the caller keeps of a run — whole
 //! [`crate::RunStats`] in the determinism tests, a [`crate::RunMetrics`]

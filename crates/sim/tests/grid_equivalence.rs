@@ -42,10 +42,9 @@ proptest! {
         range in 5.0..400.0f64,
         times in prop::collection::vec(0.0..300.0f64, 1..6),
     ) {
-        let region = Region::new(w, h);
-        let model = RandomWaypoint::new(region, 0.0, 20.0, 0.0);
+        let model = RandomWaypoint::new(Region::new(w, h), 0.0, 20.0, 0.0);
         let mut rng = StdRng::seed_from_u64(seed);
-        let trajs = model.deployment(region, n, 300.0, &mut rng);
+        let trajs = model.deployment(n, 300.0, &mut rng);
 
         let mut grid = SpatialIndex::new(n, 20.0, range);
 

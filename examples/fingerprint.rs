@@ -19,7 +19,7 @@
 
 use glr::core::{Glr, GlrConfig};
 use glr::epidemic::Epidemic;
-use glr::sim::{RunStats, SimConfig, Simulation, Workload};
+use glr::sim::{MediumKind, RunStats, SimConfig, Simulation, Workload};
 
 fn fnv(h: u64, v: u64) -> u64 {
     (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
@@ -61,27 +61,43 @@ fn digest(stats: &RunStats) -> u64 {
     h
 }
 
-fn run_one(name: &str, cfg: SimConfig, wl: Workload) -> RunStats {
+fn run_one(name: &str, cfg: SimConfig, wl: Workload, medium: &MediumKind) -> RunStats {
+    let n = cfg.n_nodes;
     if name.starts_with("glr") {
-        Simulation::new(cfg, wl, Glr::factory(GlrConfig::paper())).run()
+        let factory = Glr::factory(GlrConfig::paper());
+        Simulation::with_boxed_medium(cfg, wl, factory, medium.build(n)).run()
     } else {
-        Simulation::new(cfg, wl, Epidemic::new).run()
+        Simulation::with_boxed_medium(cfg, wl, Epidemic::new, medium.build(n)).run()
     }
 }
 
 fn main() {
-    // The last row caps every epidemic buffer, so FIFO eviction runs.
-    for (name, range, seed, storage_limit) in [
-        ("glr-100m", 100.0, 1u64, None),
-        ("glr-250m", 250.0, 7, None),
-        ("epidemic-100m", 100.0, 3, None),
-        ("epidemic-50m", 50.0, 11, None),
-        ("epidemic-250m-fifo", 250.0, 5, Some(8)),
+    let duty30 = MediumKind::duty_cycled(MediumKind::Contention, 0.3, 1.0);
+    // The `-fifo` row caps every epidemic buffer, so FIFO eviction runs.
+    // The `-ideal` and `-duty30` rows repeat the 100 m setups under the
+    // other unit-disk media (shadowing is left out: its fade draw goes
+    // through libm, whose last-ulp rounding is platform-specific).
+    for (name, range, seed, storage_limit, medium) in [
+        ("glr-100m", 100.0, 1u64, None, MediumKind::Contention),
+        ("glr-250m", 250.0, 7, None, MediumKind::Contention),
+        ("epidemic-100m", 100.0, 3, None, MediumKind::Contention),
+        ("epidemic-50m", 50.0, 11, None, MediumKind::Contention),
+        (
+            "epidemic-250m-fifo",
+            250.0,
+            5,
+            Some(8),
+            MediumKind::Contention,
+        ),
+        ("glr-100m-ideal", 100.0, 1, None, MediumKind::Ideal),
+        ("glr-100m-duty30", 100.0, 1, None, duty30.clone()),
+        ("epidemic-100m-ideal", 100.0, 3, None, MediumKind::Ideal),
+        ("epidemic-100m-duty30", 100.0, 3, None, duty30.clone()),
     ] {
         let mut cfg = SimConfig::paper(range, seed).with_duration(400.0);
         cfg.storage_limit = storage_limit;
         let wl = Workload::paper_style(cfg.n_nodes, 60, 1000);
-        let stats = run_one(name, cfg, wl);
+        let stats = run_one(name, cfg, wl, &medium);
         println!(
             "{name}: digest={:016x} delivered={} data_tx={} control_tx={} collisions={} \
              out_of_range={} queue_drops={} storage_drops={} latency_bits={:016x}",
