@@ -65,14 +65,7 @@ fn bench_local_spanner(c: &mut Criterion) {
             g.bench_function(BenchmarkId::new(name, view_size), |b| {
                 b.iter(|| {
                     scratch
-                        .neighbors(
-                            black_box(pts[0]),
-                            black_box(&view),
-                            &one_hop,
-                            150.0,
-                            2,
-                            mode,
-                        )
+                        .neighbors(black_box(pts[0]), black_box(&view), &one_hop, 150.0, mode)
                         .len()
                 })
             });

@@ -1,6 +1,6 @@
 //! Criterion benchmarks of the engine's neighbor layers: the uniform-grid
 //! spatial index at 50 / 500 / 5000 nodes, a whole-engine run at 500
-//! nodes, and the beacon hot path — `Rc`-interned snapshots +
+//! nodes, and the beacon hot path — `Rc`-shared beacon views +
 //! incremental two-hop merges in `NeighborTables` — at 500 / 5000 /
 //! 10000 nodes.
 //!
@@ -119,7 +119,7 @@ fn beacon_rounds(
                 pos: positions[u],
                 heard_at: now,
             };
-            let snap = tables.beacon_snapshot(NodeId(u as u32), now);
+            let snap = tables.fresh_one_hop(NodeId(u as u32), now);
             for &v in &nbrs[u] {
                 contacts += usize::from(!tables.record_beacon(v, sender, &snap, now));
             }

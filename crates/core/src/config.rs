@@ -24,9 +24,6 @@ pub struct GlrConfig {
     /// Store-and-forward route check interval in seconds (paper: 0.9 s
     /// default, swept 0.6–1.6 s in Figure 3).
     pub check_interval: f64,
-    /// How long a sent copy waits in the Cache for its custody
-    /// acknowledgement before being rescheduled.
-    pub cache_timeout: f64,
     /// Copy-count decision (Algorithm 1).
     pub copy_policy: CopyPolicy,
     /// Whether custody transfer (hop acks + retransmission) is enabled
@@ -34,13 +31,8 @@ pub struct GlrConfig {
     pub custody: bool,
     /// Local spanner construction.
     pub spanner: SpannerMode,
-    /// Locality parameter `k` of the k-LDTG (paper: distance-2 information).
-    pub k: usize,
     /// Destination-location knowledge scenario.
     pub location_mode: LocationMode,
-    /// Route checks without progress before the destination estimate is
-    /// perturbed (stale-location escape).
-    pub stuck_threshold: u32,
     /// When `true` (default), perturbed destination estimates are stamped
     /// with the current time and allowed into location tables and gossip,
     /// acting as a shared rendezvous that genuinely fresh sightings still
@@ -49,24 +41,17 @@ pub struct GlrConfig {
     /// conservative variant; measurably slower at paper densities — see
     /// the `ablation-perturb` experiment).
     pub perturb_gossip: bool,
-    /// Link hops after which a copy is discarded (loop safety valve; far
-    /// above any observed path length).
-    pub max_hops: u32,
 }
 
 impl Default for GlrConfig {
     fn default() -> Self {
         GlrConfig {
             check_interval: 0.9,
-            cache_timeout: 4.0,
             copy_policy: CopyPolicy::PAPER,
             custody: true,
             spanner: SpannerMode::LocalDelaunay,
-            k: 2,
             location_mode: LocationMode::SourceKnows,
-            stuck_threshold: 10,
             perturb_gossip: true,
-            max_hops: 512,
         }
     }
 }
@@ -117,9 +102,6 @@ impl GlrConfig {
     /// Panics on nonsensical values.
     pub fn validate(&self) {
         assert!(self.check_interval > 0.0, "check interval must be positive");
-        assert!(self.cache_timeout > 0.0, "cache timeout must be positive");
-        assert!(self.k >= 1, "k must be at least 1");
-        assert!(self.max_hops >= 1, "max hops must be at least 1");
     }
 }
 
@@ -132,7 +114,6 @@ mod tests {
         let c = GlrConfig::paper();
         assert_eq!(c.check_interval, 0.9);
         assert!(c.custody);
-        assert_eq!(c.k, 2);
         assert_eq!(c.location_mode, LocationMode::SourceKnows);
         c.validate();
     }

@@ -4,7 +4,7 @@
 
 use crate::config::{GlrConfig, LocationMode};
 use crate::location::{LocationEstimate, LocationTable};
-use crate::packet::{DataPacket, GlrPacket};
+use crate::packet::{DataPacket, GlrPacket, DATA_HEADER_BYTES};
 use crate::spanner::{face_next_hop, first_ccw_from_direction, SpannerScratch};
 use crate::storage::{FaceState, MessageStore, RouteVerdict, StoredMessage};
 use glr_geometry::{dstd_next_hop, DstdKind, Point2};
@@ -19,6 +19,18 @@ const ROUTE_CHECK: u64 = 1;
 
 /// Hop budget for one face-recovery walk.
 const FACE_BUDGET: u8 = 12;
+
+/// How long a sent copy waits in the Cache for its custody
+/// acknowledgement before being rescheduled (seconds).
+const CACHE_TIMEOUT: f64 = 4.0;
+
+/// Route checks without progress before the destination estimate is
+/// perturbed (stale-location escape).
+const STUCK_THRESHOLD: u32 = 10;
+
+/// Link hops after which a copy is discarded (loop safety valve; far
+/// above any observed path length).
+const MAX_HOPS: u32 = 512;
 
 /// One node's GLR instance.
 ///
@@ -93,16 +105,6 @@ impl Glr {
         move |node, sim| Glr::with_config(node, sim, cfg.clone())
     }
 
-    /// Messages currently in the Store (waiting to send).
-    pub fn store_len(&self) -> usize {
-        self.messages.store_len()
-    }
-
-    /// Messages currently in the Cache (awaiting acknowledgement).
-    pub fn cache_len(&self) -> usize {
-        self.messages.cache_len()
-    }
-
     fn ensure_timer(&mut self, ctx: &mut Ctx<'_, GlrPacket>) {
         if !self.timer_armed && !self.messages.is_empty() {
             ctx.set_timer(self.cfg.check_interval, ROUTE_CHECK);
@@ -135,18 +137,16 @@ impl Glr {
         }
     }
 
-    /// Folds current radio contacts into the long-term location table.
-    fn absorb_contacts(&mut self, ctx: &mut Ctx<'_, GlrPacket>) {
-        for e in ctx.neighbors() {
-            self.locations
-                .update(e.id, LocationEstimate::new(e.pos, e.heard_at));
-        }
-    }
-
     /// One routing pass over the Store (the body of Algorithm 2).
     fn route_all(&mut self, ctx: &mut Ctx<'_, GlrPacket>) {
         let now = ctx.now();
-        self.absorb_contacts(ctx);
+        // One view of the fresh contacts serves the whole pass: folding
+        // them into the long-term location table, and both filters below.
+        let nbrs = ctx.neighbors();
+        for e in &nbrs {
+            self.locations
+                .update(e.id, LocationEstimate::new(e.pos, e.heard_at));
+        }
         if self.messages.is_empty() {
             return;
         }
@@ -160,9 +160,6 @@ impl Glr {
         // worst case is used as the expected displacement.
         let v_max = ctx.config().speed_range.1;
         let range = ctx.config().radio_range;
-        // One shared snapshot serves both filters (an Rc clone, not a
-        // fresh table materialisation).
-        let nbrs = ctx.neighbors();
         let one_hop: Vec<NodeId> = nbrs
             .iter()
             .filter(|e| {
@@ -183,12 +180,12 @@ impl Glr {
             if self.cfg.custody && e.attempts <= 1 && one_hop.contains(&e.sent_to) {
                 ctx.count_event("glr.custody_retx");
                 if self.transmit(ctx, e.sent_to, &e.msg) {
-                    let backlog =
-                        ctx.tx_queue_len() as f64 * ctx.config().tx_time(e.msg.info.size + 32);
+                    let backlog = ctx.tx_queue_len() as f64
+                        * ctx.config().tx_time(e.msg.info.size + DATA_HEADER_BYTES);
                     self.messages.to_cache_with_attempts(
                         e.msg,
                         e.sent_to,
-                        now + self.cfg.cache_timeout + backlog,
+                        now + CACHE_TIMEOUT + backlog,
                         e.attempts + 1,
                     );
                     continue;
@@ -222,7 +219,6 @@ impl Glr {
             &view,
             &one_hop,
             ctx.config().radio_range,
-            self.cfg.k,
             self.cfg.spanner,
         );
         let mut messages = std::mem::take(&mut self.messages);
@@ -251,11 +247,11 @@ impl Glr {
                     // already queued ahead have drained, so the custody
                     // timeout starts after the (locally-known) queue
                     // backlog.
-                    let backlog =
-                        ctx.tx_queue_len() as f64 * ctx.config().tx_time(msg.info.size + 32);
+                    let backlog = ctx.tx_queue_len() as f64
+                        * ctx.config().tx_time(msg.info.size + DATA_HEADER_BYTES);
                     RouteVerdict::Sent {
                         to: next,
-                        expires: now + self.cfg.cache_timeout + backlog,
+                        expires: now + CACHE_TIMEOUT + backlog,
                     }
                 }
                 None => {
@@ -271,9 +267,9 @@ impl Glr {
                     // turn into a permanent random walk.
                     let at_stale_spot = my_pos.dist(msg.dest_est.pos) <= ctx.config().radio_range;
                     let base = if at_stale_spot {
-                        self.cfg.stuck_threshold
+                        STUCK_THRESHOLD
                     } else {
-                        self.cfg.stuck_threshold * 4
+                        STUCK_THRESHOLD * 4
                     };
                     let threshold = base << msg.perturbations.min(4);
                     if msg.stuck_checks >= threshold {
@@ -441,7 +437,7 @@ impl Glr {
             ctx.deliver(d.info.id, d.hops);
             return;
         }
-        if d.hops >= self.cfg.max_hops {
+        if d.hops >= MAX_HOPS {
             ctx.count_event("glr.ttl_drop");
             return; // loop safety valve
         }
@@ -452,7 +448,7 @@ impl Glr {
         // the window): re-acknowledged above but not re-admitted.
         let key = (d.info.id, d.copy_tag);
         let now = ctx.now();
-        let window = 2.0 * self.cfg.cache_timeout;
+        let window = 2.0 * CACHE_TIMEOUT;
         if let Some(&(from0, hops0, t)) = self.seen.get(&key) {
             if from0 == from && hops0 == d.hops && now - t < window {
                 ctx.count_event("glr.retx_dedupe");
@@ -576,7 +572,7 @@ impl Protocol for Glr {
     fn on_neighbor_appeared(&mut self, ctx: &mut Ctx<'_, Self::Packet>, nbr: NodeId) {
         // Contact-time location exchange (paper §2.3.1): remember where we
         // met everyone.
-        if let Some(e) = ctx.neighbors().into_iter().find(|e| e.id == nbr) {
+        if let Some(e) = ctx.neighbors().iter().find(|e| e.id == nbr) {
             self.locations
                 .update(e.id, LocationEstimate::new(e.pos, e.heard_at));
         }

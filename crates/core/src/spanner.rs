@@ -26,6 +26,10 @@
 use glr_geometry::{delaunay_star, ldtg_local_neighbors, Point2};
 use glr_sim::{NeighborEntry, NodeId};
 
+/// Locality parameter `k` of the k-LDTG: the paper's nodes collect
+/// distance-2 neighbourhood information.
+const K: usize = 2;
+
 /// Which local spanner construction a GLR node runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpannerMode {
@@ -63,7 +67,6 @@ pub enum SpannerMode {
 ///     &view,
 ///     &[NodeId(1), NodeId(2)],
 ///     100.0,
-///     2,
 ///     SpannerMode::LocalDelaunay,
 /// );
 /// assert_eq!(nbrs.len(), 2);
@@ -73,11 +76,10 @@ pub fn spanner_neighbors(
     view: &[NeighborEntry],
     one_hop: &[NodeId],
     radio_range: f64,
-    k: usize,
     mode: SpannerMode,
 ) -> Vec<(NodeId, Point2)> {
     let mut scratch = SpannerScratch::default();
-    scratch.neighbors(my_pos, view, one_hop, radio_range, k, mode);
+    scratch.neighbors(my_pos, view, one_hop, radio_range, mode);
     scratch.out
 }
 
@@ -99,7 +101,6 @@ impl SpannerScratch {
         view: &[NeighborEntry],
         one_hop: &[NodeId],
         radio_range: f64,
-        k: usize,
         mode: SpannerMode,
     ) -> &[(NodeId, Point2)] {
         self.out.clear();
@@ -118,7 +119,7 @@ impl SpannerScratch {
                 self.star.retain(|&i| points[i].dist(my_pos) <= radio_range);
             }
             SpannerMode::KLocalDelaunay => {
-                self.star = ldtg_local_neighbors(&self.points, 0, radio_range, k);
+                self.star = ldtg_local_neighbors(&self.points, 0, radio_range, K);
             }
         }
         self.out.extend(
@@ -218,7 +219,6 @@ mod tests {
             &view,
             &[NodeId(1)],
             100.0,
-            2,
             SpannerMode::LocalDelaunay,
         );
         assert_eq!(nbrs.len(), 1);
@@ -242,7 +242,6 @@ mod tests {
             &view,
             &one_hop,
             100.0,
-            2,
             SpannerMode::LocalDelaunay,
         );
         let ids: Vec<u32> = nbrs.iter().map(|&(id, _)| id.0).collect();
@@ -266,7 +265,6 @@ mod tests {
             &view,
             &one_hop,
             100.0,
-            2,
             SpannerMode::LocalDelaunay,
         );
         let b = spanner_neighbors(
@@ -274,7 +272,6 @@ mod tests {
             &view,
             &one_hop,
             100.0,
-            2,
             SpannerMode::KLocalDelaunay,
         );
         let ids = |v: &[(NodeId, Point2)]| v.iter().map(|&(i, _)| i).collect::<Vec<_>>();
@@ -295,7 +292,6 @@ mod tests {
             &view,
             &one_hop,
             100.0,
-            2,
             SpannerMode::LocalDelaunay,
         );
         let angles: Vec<f64> = nbrs
@@ -332,8 +328,8 @@ mod tests {
         let mut scratch = SpannerScratch::default();
         for mode in [SpannerMode::LocalDelaunay, SpannerMode::KLocalDelaunay] {
             for view in &views {
-                let fresh = spanner_neighbors(Point2::ORIGIN, view, &one_hop, 100.0, 2, mode);
-                let reused = scratch.neighbors(Point2::ORIGIN, view, &one_hop, 100.0, 2, mode);
+                let fresh = spanner_neighbors(Point2::ORIGIN, view, &one_hop, 100.0, mode);
+                let reused = scratch.neighbors(Point2::ORIGIN, view, &one_hop, 100.0, mode);
                 assert_eq!(reused, fresh.as_slice(), "{mode:?}, view of {}", view.len());
             }
         }
@@ -341,15 +337,10 @@ mod tests {
 
     #[test]
     fn empty_view_no_neighbors() {
-        assert!(spanner_neighbors(
-            Point2::ORIGIN,
-            &[],
-            &[],
-            100.0,
-            2,
-            SpannerMode::LocalDelaunay
-        )
-        .is_empty());
+        assert!(
+            spanner_neighbors(Point2::ORIGIN, &[], &[], 100.0, SpannerMode::LocalDelaunay)
+                .is_empty()
+        );
     }
 
     #[test]

@@ -321,17 +321,6 @@ impl MessageStore {
         self.cache.len() != before
     }
 
-    /// Moves expired Cache entries back to the Store ("another round of
-    /// transfer rescheduling"); returns how many moved.
-    pub fn expire_cache(&mut self, now: SimTime) -> usize {
-        let expired = self.take_expired(now);
-        let moved = expired.len();
-        for e in expired {
-            self.store.push_back(e.msg);
-        }
-        moved
-    }
-
     /// Applies a fresher destination estimate to every held copy bound for
     /// `dst` (location diffusion touching stored traffic).
     pub fn refresh_destination(&mut self, dst: NodeId, est: LocationEstimate) {
@@ -442,9 +431,19 @@ mod tests {
         let mut s = MessageStore::new(None);
         s.to_cache(msg(0, 0), NodeId(2), SimTime::from_secs(5.0));
         s.to_cache(msg(1, 0), NodeId(2), SimTime::from_secs(50.0));
-        let moved = s.expire_cache(SimTime::from_secs(10.0));
-        assert_eq!(moved, 1);
-        assert_eq!(s.store_len(), 1);
+        s.to_cache(msg(2, 0), NodeId(2), SimTime::from_secs(10.0));
+        // Exactly the entries due at or before the cutoff leave the
+        // Cache; the caller re-routes them through the Store ("another
+        // round of transfer rescheduling"), as GLR's route check does.
+        let expired = s.take_expired(SimTime::from_secs(10.0));
+        let seqs: Vec<u32> = expired.iter().map(|e| e.msg.info.id.seq).collect();
+        assert_eq!(seqs, [0, 2]);
+        assert_eq!(s.cache_len(), 1);
+        assert!(s.contains(msg(1, 0).info.id, 0), "not yet due");
+        for e in expired {
+            s.push(e.msg);
+        }
+        assert_eq!(s.store_len(), 2);
         assert_eq!(s.cache_len(), 1);
     }
 

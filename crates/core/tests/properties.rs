@@ -213,10 +213,12 @@ proptest! {
             s.to_cache(msg(i as u32, 0), NodeId(1), SimTime::from_secs(i as f64));
         }
         let before = s.total();
-        let moved = s.expire_cache(SimTime::from_secs(cutoff));
-        prop_assert_eq!(s.total(), before, "expiry must not lose copies");
-        prop_assert_eq!(s.store_len(), moved);
-        // Everything with deadline <= cutoff moved.
+        let taken = s.take_expired(SimTime::from_secs(cutoff));
+        let moved = taken.len();
+        prop_assert_eq!(s.total() + moved, before, "expiry must not lose copies");
+        prop_assert_eq!(s.cache_len(), before - moved, "the rest stay cached");
+        prop_assert!(taken.iter().all(|e| e.expires.as_secs() <= cutoff));
+        // Everything with deadline <= cutoff left the Cache.
         let expect = n.min(cutoff.floor() as usize + 1).min(n);
         prop_assert!(moved <= n);
         if cutoff >= (n - 1) as f64 {

@@ -62,11 +62,6 @@ impl Epidemic {
         }
     }
 
-    /// Number of messages currently carried.
-    pub fn buffered(&self) -> usize {
-        self.buffer.len()
-    }
-
     fn send_summary(&self, ctx: &mut Ctx<'_, EpidemicPacket>, to: NodeId) {
         let sv = self.buffer.summary_vector();
         let size = HDR_BYTES + ID_BYTES * sv.len() as u32;
@@ -88,8 +83,7 @@ impl Protocol for Epidemic {
         // The message was born after any standing contacts formed, so it
         // would otherwise wait for the next contact event; announce it to
         // the current neighbourhood (one summary each — receivers pull).
-        let nbrs = ctx.neighbors();
-        for e in nbrs {
+        for e in ctx.neighbors().iter() {
             self.send_summary(ctx, e.id);
         }
     }

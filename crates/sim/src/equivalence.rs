@@ -28,7 +28,7 @@ impl Protocol for Flood {
     type Packet = FloodPacket;
 
     fn on_message_created(&mut self, ctx: &mut Ctx<'_, Self::Packet>, info: MessageInfo) {
-        for e in ctx.neighbors() {
+        for e in ctx.neighbors().iter() {
             let _ = ctx.send(
                 e.id,
                 FloodPacket { info, hops: 1 },
@@ -42,7 +42,7 @@ impl Protocol for Flood {
         if pkt.info.dst == ctx.me() {
             ctx.deliver(pkt.info.id, pkt.hops);
         } else if pkt.hops < 3 {
-            for e in ctx.neighbors() {
+            for e in ctx.neighbors().iter() {
                 let _ = ctx.send(
                     e.id,
                     FloodPacket {

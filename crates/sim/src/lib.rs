@@ -59,8 +59,8 @@
 //!
 //! Each worker builds and runs its simulations itself, and only the run
 //! function's result (a [`RunStats`] or a [`RunMetrics`] row) crosses
-//! threads. The engine relies on that: beacon
-//! snapshots and neighbour views are shared through `Rc`, not `Arc`, so
+//! threads. The engine relies on that: neighbour views, which beacons
+//! carry to every receiver, are shared through `Rc`, not `Arc`, so
 //! [`Simulation`], [`NeighborTables`] and [`NeighborsView`] are `!Send`.
 //!
 //! # Scaling to 100k+ nodes
@@ -68,10 +68,10 @@
 //! Each of the two hot layers has one implementation, built for scale:
 //!
 //! * beacon receiver sets — the drift-compensated grid [`SpatialIndex`];
-//! * the beacon/neighbour layer — [`NeighborTables`] (one
-//!   `Rc`-interned snapshot per beacon shared by all receivers,
-//!   incremental keyed merges, lazy staleness sweeping, cached
-//!   [`Ctx::neighbors`]/[`Ctx::local_view`]).
+//! * the beacon/neighbour layer — [`NeighborTables`] (one `Rc`
+//!   [`NeighborsView`] per beacon shared by all receivers, incremental
+//!   keyed merges, lazy staleness sweeping; [`Ctx::neighbors`] and
+//!   [`Ctx::local_view`] build a fresh view per call).
 //!
 //! The straightforward implementations they replaced — a linear scan
 //! over all nodes and clone-and-merge tables — are kept only as
@@ -89,9 +89,9 @@
 //! experiment harness), so a run's per-message records are freed when
 //! the run ends, not when the sweep does. Per-node
 //! protocol state is compact: thin `Rc`-only beacon snapshots, a
-//! single-probe peer map with 32-byte entries, and the cold view caches
-//! split out of the hot per-node tables ([`TableFootprint`] reports the
-//! bytes; the `neighbor_footprint` bench row tracks them at 100k).
+//! single-probe peer map with 32-byte entries, and no per-node view
+//! cache ([`TableFootprint`] reports the bytes; the `neighbor_footprint`
+//! bench row tracks them at 100k).
 //!
 //! [`Scenario::large_n_tier`] builds a ready-made 10k-node preset —
 //! paper density via [`SimConfig::paper_scaled`], one cell per built-in
@@ -164,9 +164,7 @@ pub use medium::{
     Frame, Medium, MediumKind, PacketKind, QueueFull, ShadowingParams, TxResolution,
     DUTY_SLEEP_DROP, SHADOWING_FADE_LOSS,
 };
-pub use neighbors::{
-    BeaconSnapshot, NeighborEntry, NeighborTables, NeighborsIter, NeighborsView, TableFootprint,
-};
+pub use neighbors::{NeighborEntry, NeighborTables, NeighborsView, TableFootprint};
 pub use queue::TimedQueue;
 pub use report::{CellReport, ReportSet, RunMetrics};
 pub use scenario::{Scenario, WorkloadSpec};

@@ -11,24 +11,22 @@
 //! # Implementation
 //!
 //! [`NeighborTables`] has one implementation, built for 10k+-node
-//! deployments. A beacon's 1-hop snapshot is materialised **once** per
-//! beacon event behind an `Rc` ([`BeaconSnapshot`]) and shared by every
-//! receiver; [`NeighborTables::record_beacon`] stores the `Rc` keyed by
-//! sender — amortised O(1) per reception — instead of merging the
-//! snapshot entry-by-entry into a linearly-scanned 2-hop `Vec`. 1-hop
-//! upserts go through a hash index, expiry is swept lazily (amortised,
-//! never a per-beacon full-table rebuild), and the protocol-facing views
-//! ([`NeighborsView`]) are `Rc`-backed and cached per
-//! `(node, time, generation)`, so repeated [`crate::Ctx::neighbors`] /
-//! [`crate::Ctx::local_view`] calls within one event are
-//! allocation-free.
+//! deployments, and one snapshot type, [`NeighborsView`]: an `Rc` slice
+//! of entries. A beacon carries the sender's fresh 1-hop table as a view
+//! materialised **once** per beacon event and shared by every receiver;
+//! [`NeighborTables::record_beacon`] stores that `Rc` keyed by sender —
+//! amortised O(1) per reception — instead of merging the snapshot
+//! entry-by-entry into a linearly-scanned 2-hop `Vec`. 1-hop upserts go
+//! through a hash index and expiry is swept lazily (amortised, never a
+//! per-beacon full-table rebuild). Views are not cached: every
+//! [`crate::Ctx::neighbors`] / [`crate::Ctx::local_view`] call builds a
+//! fresh one, so a hook that needs a view asks once.
 //!
 //! The shared allocations are reference-counted without atomics: a run
 //! is single-threaded (a [`crate::Sweep`] builds and runs each
 //! simulation inside one worker, and only its [`crate::RunStats`] cross
 //! threads), so a beacon's per-receiver share is a plain counter bump.
-//! [`NeighborTables`], [`NeighborsView`] and [`BeaconSnapshot`] are
-//! therefore `!Send`.
+//! [`NeighborTables`] and [`NeighborsView`] are therefore `!Send`.
 //!
 //! The original clone-and-merge tables (`Vec`-scanned, deep-merged on
 //! every reception, expired eagerly) survive only as a test oracle
@@ -63,12 +61,13 @@ pub struct NeighborEntry {
     pub heard_at: SimTime,
 }
 
-/// A cheap, immutable, shareable view of neighbour entries.
+/// A cheap, immutable, shareable view of neighbour entries: what the
+/// protocols read and what a beacon carries.
 ///
-/// Dereferences to `[NeighborEntry]` and iterates by value like the
-/// `Vec<NeighborEntry>` it replaced, but cloning is an `Rc` bump: the
-/// tables hand the same allocation to every caller asking for the same
-/// node's view at the same time.
+/// Dereferences to `[NeighborEntry]`; cloning is an `Rc` bump. Two
+/// words wide, deliberately: every receiver of a beacon keeps the
+/// sender's view in its peer map, so each byte here is a byte per
+/// `(node, peer)` pair at 100k nodes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NeighborsView {
     entries: Rc<[NeighborEntry]>,
@@ -78,6 +77,12 @@ impl NeighborsView {
     /// Iterates the entries by reference.
     pub fn iter(&self) -> std::slice::Iter<'_, NeighborEntry> {
         self.entries.iter()
+    }
+
+    /// Whether every entry is older than `horizon` (vacuously true when
+    /// empty) — i.e. no fresh query can see anything in this view.
+    fn expired(&self, horizon: f64) -> bool {
+        self.entries.iter().all(|e| e.heard_at.as_secs() < horizon)
     }
 }
 
@@ -94,81 +99,11 @@ impl std::ops::Deref for NeighborsView {
     }
 }
 
-/// Owning iterator over a [`NeighborsView`]; yields entries by value,
-/// exactly like iterating an owned `Vec<NeighborEntry>`.
-#[derive(Debug)]
-pub struct NeighborsIter {
-    entries: Rc<[NeighborEntry]>,
-    at: usize,
-}
-
-impl Iterator for NeighborsIter {
-    type Item = NeighborEntry;
-
-    fn next(&mut self) -> Option<NeighborEntry> {
-        let e = self.entries.get(self.at).copied();
-        self.at += 1;
-        e
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.entries.len().saturating_sub(self.at);
-        (n, Some(n))
-    }
-}
-
-impl IntoIterator for NeighborsView {
-    type Item = NeighborEntry;
-    type IntoIter = NeighborsIter;
-    fn into_iter(self) -> NeighborsIter {
-        NeighborsIter {
-            entries: self.entries,
-            at: 0,
-        }
-    }
-}
-
 impl<'a> IntoIterator for &'a NeighborsView {
     type Item = &'a NeighborEntry;
     type IntoIter = std::slice::Iter<'a, NeighborEntry>;
     fn into_iter(self) -> Self::IntoIter {
         self.entries.iter()
-    }
-}
-
-/// One beacon's payload: the sender's fresh 1-hop table, materialised
-/// once per beacon event and shared (`Rc`) by every receiver.
-///
-/// Deliberately thin — two words, a fat `Rc` pointer. Every receiver
-/// of a beacon stores a copy inside its `NodeTable`'s peer map, so
-/// each byte here is a byte per `(node, peer)` pair at 100k nodes; the
-/// freshest-entry timestamp the old layout cached inline is recomputed
-/// during the (amortised) sweeps that need it instead.
-#[derive(Debug, Clone)]
-pub struct BeaconSnapshot {
-    entries: Rc<[NeighborEntry]>,
-}
-
-impl BeaconSnapshot {
-    fn new(entries: Rc<[NeighborEntry]>) -> Self {
-        BeaconSnapshot { entries }
-    }
-
-    /// Whether every entry is older than `horizon` (vacuously true when
-    /// empty) — i.e. no fresh query can see anything in this snapshot.
-    fn expired(&self, horizon: f64) -> bool {
-        self.entries.iter().all(|e| e.heard_at.as_secs() < horizon)
-    }
-
-    /// Builds a snapshot from explicit entries (tests and benches; the
-    /// engine obtains snapshots from [`NeighborTables::beacon_snapshot`]).
-    pub fn from_entries(entries: &[NeighborEntry]) -> Self {
-        BeaconSnapshot::new(entries.into())
-    }
-
-    /// The snapshot's entries.
-    pub fn entries(&self) -> &[NeighborEntry] {
-        &self.entries
     }
 }
 
@@ -181,13 +116,13 @@ impl BeaconSnapshot {
 /// # Examples
 ///
 /// ```
-/// use glr_sim::{BeaconSnapshot, NeighborEntry, NeighborTables, NodeId, SimTime};
+/// use glr_sim::{NeighborEntry, NeighborTables, NeighborsView, NodeId, SimTime};
 /// use glr_geometry::Point2;
 ///
 /// let mut t = NeighborTables::new(3, 2.5);
 /// let now = SimTime::from_secs(1.0);
 /// let sender = NeighborEntry { id: NodeId(0), pos: Point2::new(0.0, 0.0), heard_at: now };
-/// let snap = BeaconSnapshot::from_entries(&[]);
+/// let snap = NeighborsView::from(Vec::new());
 /// t.record_beacon(NodeId(1), sender, &snap, now);
 /// assert_eq!(t.fresh_one_hop(NodeId(1), now).len(), 1);
 /// ```
@@ -223,23 +158,12 @@ impl NeighborTables {
         }
     }
 
-    /// The beacon payload for `u` at `now`: its fresh 1-hop table,
-    /// materialised once and shared by all receivers of the beacon.
-    pub fn beacon_snapshot(&mut self, u: NodeId, now: SimTime) -> BeaconSnapshot {
-        match &mut self.backend {
-            Backend::Shared(t) => t.snapshot(u, now),
-            #[cfg(test)]
-            Backend::CloneMerge(t) => BeaconSnapshot::new(t.fresh_one_hop(u, now).into()),
-        }
-    }
-
     /// Fresh (non-expired) one-hop entries for `u` at `now`, in table
-    /// order.
+    /// order. This is also the payload of `u`'s beacon: the engine
+    /// materialises it once per beacon and every receiver shares it.
     pub fn fresh_one_hop(&mut self, u: NodeId, now: SimTime) -> NeighborsView {
         match &mut self.backend {
-            Backend::Shared(t) => NeighborsView {
-                entries: t.snapshot(u, now).entries,
-            },
+            Backend::Shared(t) => t.fresh_one_hop(u, now),
             #[cfg(test)]
             Backend::CloneMerge(t) => t.fresh_one_hop(u, now).into(),
         }
@@ -273,13 +197,13 @@ impl NeighborTables {
         &mut self,
         receiver: NodeId,
         sender: NeighborEntry,
-        snapshot: &BeaconSnapshot,
+        snapshot: &NeighborsView,
         now: SimTime,
     ) -> bool {
         match &mut self.backend {
             Backend::Shared(t) => t.record_beacon(receiver, sender, snapshot, now),
             #[cfg(test)]
-            Backend::CloneMerge(t) => t.record_beacon(receiver, sender, snapshot.entries(), now),
+            Backend::CloneMerge(t) => t.record_beacon(receiver, sender, snapshot, now),
         }
     }
 
@@ -326,18 +250,11 @@ const SWEEP_SLACK: usize = 4;
 
 #[derive(Debug)]
 struct SharedTables {
-    /// Hot per-node state: everything a beacon reception touches. Kept
-    /// separate from the cold view caches (SoA split) so the dense
-    /// beacon storm walks a ~45 % smaller array.
     nodes: Vec<NodeTable>,
-    /// Cold per-node state: the `(time, generation)`-keyed snapshot and
-    /// view caches, touched only when a node sends a beacon or a
-    /// protocol asks for its neighbourhood.
-    caches: Vec<NodeCache>,
     ttl: f64,
     /// Reusable freshest-wins merge buffer for [`SharedTables::fresh_view`].
     scratch: NodeMap<NeighborEntry>,
-    /// Reusable staging buffer for snapshot materialisation, so a beacon
+    /// Reusable staging buffer for 1-hop views, so materialising one
     /// costs exactly one allocation (the shared `Rc`).
     snap_scratch: Vec<NeighborEntry>,
 }
@@ -351,7 +268,7 @@ const NO_SLOT: u32 = u32::MAX;
 /// previous two-map layout (`id → slot` plus `id → snapshot`) paid two
 /// hashed probes into two scattered tables per reception, and those
 /// cache misses dominated the dense-regime beacon storm. The layout is
-/// deliberately compact (one `u32` + one thin [`BeaconSnapshot`]):
+/// deliberately compact (one `u32` + one thin [`NeighborsView`]):
 /// peer-map entries are the dominant per-node memory term at 100k
 /// nodes, one entry per `(node, peer)` pair.
 #[derive(Debug)]
@@ -360,10 +277,10 @@ struct PeerState {
     slot: u32,
     /// Latest beacon snapshot from this peer (the receiving node's 2-hop
     /// knowledge). An `Rc` clone of the sender-side materialisation.
-    snap: Option<BeaconSnapshot>,
+    snap: Option<NeighborsView>,
 }
 
-/// Hot per-node table state — see [`SharedTables::nodes`].
+/// One node's table state: everything a beacon reception touches.
 #[derive(Debug, Default)]
 struct NodeTable {
     /// 1-hop entries in *revival order* (the order the reference backend
@@ -379,18 +296,6 @@ struct NodeTable {
     gc_horizon: f64,
     /// Mutations since the last physical sweep.
     ops: u32,
-    /// Bumped (wrapping) on every mutation; keys the view caches. A
-    /// false cache hit needs the same `(time, gen)` pair, i.e. 2^32
-    /// mutations of one node's table within a single timestamp — out of
-    /// reach for any run this simulator can represent.
-    gen: u32,
-}
-
-/// Cold per-node cache state — see [`SharedTables::caches`].
-#[derive(Debug, Default)]
-struct NodeCache {
-    one: Option<(SimTime, u32, BeaconSnapshot)>,
-    view: Option<(SimTime, u32, NeighborsView)>,
 }
 
 impl NodeTable {
@@ -401,21 +306,28 @@ impl NodeTable {
         }
     }
 
-    /// Freshest-wins upsert with the reference backend's placement
-    /// semantics: live entries update in place (keeping their slot),
-    /// zombies — entries the reference physically removed at the last
-    /// beacon GC — re-append at the end like any new contact.
-    fn upsert(&mut self, entry: NeighborEntry) {
-        self.gen = self.gen.wrapping_add(1);
+    /// Freshest-wins placement of `entry` off a single `peers` probe,
+    /// with the reference backend's semantics: live entries update in
+    /// place (keeping their slot), zombies — entries the reference
+    /// physically removed at the last beacon GC — re-append at the end
+    /// like any new contact. Counts one mutation towards the next sweep.
+    /// Returns the peer's state and whether its entry was fresh (heard
+    /// at or after `horizon`) before this call.
+    ///
+    /// Forced inline: every beacon reception runs it, and as an
+    /// out-of-line call it slowed epidemic-flood's `wall_s` by about 2 %
+    /// (perfbench, 60 s runs, 2-vCPU host).
+    #[inline(always)]
+    fn place(&mut self, entry: NeighborEntry, horizon: f64) -> (&mut PeerState, bool) {
         self.ops += 1;
         let order = &mut self.order;
-        let gc_horizon = self.gc_horizon;
         let st = self.peers.entry(entry.id).or_insert(PeerState {
             slot: NO_SLOT,
             snap: None,
         });
         let i = st.slot as usize;
-        if st.slot != NO_SLOT && order[i].heard_at.as_secs() >= gc_horizon {
+        let was_fresh = st.slot != NO_SLOT && order[i].heard_at.as_secs() >= horizon;
+        if st.slot != NO_SLOT && order[i].heard_at.as_secs() >= self.gc_horizon {
             // Live: freshest-wins in place, keeping the slot.
             if entry.heard_at >= order[i].heard_at {
                 order[i] = entry;
@@ -428,43 +340,23 @@ impl NodeTable {
             st.slot = order.len() as u32;
             order.push(entry);
         }
+        (st, was_fresh)
     }
 
-    /// The per-receiver beacon merge: freshest-wins upsert of the
+    /// The per-receiver beacon merge: freshest-wins placement of the
     /// sender, latest-snapshot-per-sender store, GC-horizon advance and
-    /// amortised sweep — all off a single `peers` probe. Touches only
-    /// this table.
+    /// amortised sweep. Touches only this table.
     fn record_beacon(
         &mut self,
         sender: NeighborEntry,
-        snapshot: &BeaconSnapshot,
+        snapshot: &NeighborsView,
         horizon: f64,
     ) -> bool {
-        let order = &mut self.order;
-        let gc_horizon = self.gc_horizon;
-        let st = self.peers.entry(sender.id).or_insert(PeerState {
-            slot: NO_SLOT,
-            snap: None,
-        });
-        let i = st.slot as usize;
-        let was_fresh = st.slot != NO_SLOT && order[i].heard_at.as_secs() >= horizon;
-        if st.slot != NO_SLOT && order[i].heard_at.as_secs() >= gc_horizon {
-            // Live: freshest-wins in place, keeping the slot.
-            if sender.heard_at >= order[i].heard_at {
-                order[i] = sender;
-            }
-        } else {
-            // Zombie (observably GC'd) or absent: (re-)append at the
-            // end, like the reference after its physical removal.
-            st.slot = order.len() as u32;
-            order.push(sender);
-        }
+        let (st, was_fresh) = self.place(sender, horizon);
         st.snap = Some(snapshot.clone());
         // This is the reference backend's GC moment: from here on,
         // anything older than `horizon` is observably deleted.
         self.gc_horizon = self.gc_horizon.max(horizon);
-        self.gen = self.gen.wrapping_add(1);
-        self.ops += 1;
         self.maybe_sweep();
         was_fresh
     }
@@ -511,49 +403,30 @@ impl SharedTables {
     fn new(n_nodes: usize, ttl: f64) -> Self {
         SharedTables {
             nodes: (0..n_nodes).map(|_| NodeTable::new()).collect(),
-            caches: (0..n_nodes).map(|_| NodeCache::default()).collect(),
             ttl,
             scratch: NodeMap::default(),
             snap_scratch: Vec::new(),
         }
     }
 
-    fn snapshot(&mut self, u: NodeId, now: SimTime) -> BeaconSnapshot {
-        let SharedTables {
-            nodes,
-            caches,
-            ttl,
-            snap_scratch,
-            ..
-        } = self;
-        let t = &mut nodes[u.index()];
-        let cache = &mut caches[u.index()];
-        if let Some((at, gen, snap)) = &cache.one {
-            if *at == now && *gen == t.gen {
-                return snap.clone();
-            }
-        }
-        let horizon = now.as_secs() - *ttl;
-        snap_scratch.clear();
-        snap_scratch.extend(
-            t.order
+    fn fresh_one_hop(&mut self, u: NodeId, now: SimTime) -> NeighborsView {
+        let horizon = now.as_secs() - self.ttl;
+        let staged = &mut self.snap_scratch;
+        staged.clear();
+        staged.extend(
+            self.nodes[u.index()]
+                .order
                 .iter()
                 .filter(|e| e.heard_at.as_secs() >= horizon)
                 .copied(),
         );
-        let snap = BeaconSnapshot::new(Rc::from(&snap_scratch[..]));
-        cache.one = Some((now, t.gen, snap.clone()));
-        snap
+        NeighborsView {
+            entries: Rc::from(&staged[..]),
+        }
     }
 
     fn fresh_view(&mut self, u: NodeId, now: SimTime) -> NeighborsView {
-        let t = &mut self.nodes[u.index()];
-        let cache = &mut self.caches[u.index()];
-        if let Some((at, gen, view)) = &cache.view {
-            if *at == now && *gen == t.gen {
-                return view.clone();
-            }
-        }
+        let t = &self.nodes[u.index()];
         let horizon = now.as_secs() - self.ttl;
         let best = &mut self.scratch;
         best.clear();
@@ -573,22 +446,20 @@ impl SharedTables {
         }
         for st in t.peers.values() {
             let Some(snap) = &st.snap else { continue };
-            for e in snap.entries.iter() {
+            for e in snap {
                 merge(e);
             }
         }
         let mut out: Vec<NeighborEntry> = best.values().copied().collect();
         out.sort_by_key(|e| e.id);
-        let view = NeighborsView::from(out);
-        cache.view = Some((now, t.gen, view.clone()));
-        view
+        NeighborsView::from(out)
     }
 
     fn record_beacon(
         &mut self,
         receiver: NodeId,
         sender: NeighborEntry,
-        snapshot: &BeaconSnapshot,
+        snapshot: &NeighborsView,
         now: SimTime,
     ) -> bool {
         let horizon = now.as_secs() - self.ttl;
@@ -597,38 +468,25 @@ impl SharedTables {
 
     fn heard_frame(&mut self, receiver: NodeId, entry: NeighborEntry) {
         let t = &mut self.nodes[receiver.index()];
-        t.upsert(entry);
+        // A frame is no beacon: no GC moment, so freshness is not asked.
+        t.place(entry, f64::INFINITY);
         t.maybe_sweep();
     }
 
     fn footprint(&self) -> TableFootprint {
-        let mut table_bytes = self.nodes.capacity() * std::mem::size_of::<NodeTable>()
-            + self.caches.capacity() * std::mem::size_of::<NodeCache>();
+        let mut table_bytes = self.nodes.capacity() * std::mem::size_of::<NodeTable>();
         let mut snapshots: HashMap<*const NeighborEntry, usize> = HashMap::new();
-        let mut note = |entries: &Rc<[NeighborEntry]>| {
-            snapshots.insert(
-                entries.as_ptr(),
-                entries.len() * std::mem::size_of::<NeighborEntry>() + RC_SLICE_HEADER,
-            );
-        };
         for t in &self.nodes {
             table_bytes += t.order.capacity() * std::mem::size_of::<NeighborEntry>()
                 + map_heap_bytes(
                     t.peers.capacity(),
                     std::mem::size_of::<(NodeId, PeerState)>(),
                 );
-            for st in t.peers.values() {
-                if let Some(snap) = &st.snap {
-                    note(&snap.entries);
-                }
-            }
-        }
-        for c in &self.caches {
-            if let Some((_, _, snap)) = &c.one {
-                note(&snap.entries);
-            }
-            if let Some((_, _, view)) = &c.view {
-                note(&view.entries);
+            for snap in t.peers.values().filter_map(|st| st.snap.as_ref()) {
+                snapshots.insert(
+                    snap.entries.as_ptr(),
+                    snap.len() * std::mem::size_of::<NeighborEntry>() + RC_SLICE_HEADER,
+                );
             }
         }
         TableFootprint {
@@ -662,10 +520,10 @@ fn map_heap_bytes(capacity: usize, entry: usize) -> usize {
 pub struct TableFootprint {
     /// Number of per-node tables.
     pub nodes: usize,
-    /// Bytes in per-node structures: the hot/cold arrays, 1-hop entry
-    /// buffers and peer maps (map sizes are bucket estimates).
+    /// Bytes in per-node structures: the per-node table array, 1-hop
+    /// entry buffers and peer maps (map sizes are bucket estimates).
     pub table_bytes: usize,
-    /// Bytes in interned beacon-snapshot/view allocations, counted once
+    /// Bytes in the beacon snapshots the peer maps hold, counted once
     /// per unique `Rc` however many peers share it.
     pub snapshot_bytes: usize,
 }
@@ -819,19 +677,18 @@ mod tests {
         }
     }
 
-    fn snap(entries: &[NeighborEntry]) -> BeaconSnapshot {
-        BeaconSnapshot::from_entries(entries)
+    fn snap(entries: &[NeighborEntry]) -> NeighborsView {
+        NeighborsView::from(entries.to_vec())
     }
 
     /// The 100k-node memory work pinned these layouts; growing them
     /// again is a per-`(node, peer)`-pair regression at deployment
-    /// scale (the PR-4 sizes were 24/40/168-byte equivalents).
+    /// scale (the earliest layout used 24/40/168-byte equivalents).
     #[test]
     fn per_node_state_stays_compact() {
-        assert_eq!(std::mem::size_of::<BeaconSnapshot>(), 16);
+        assert_eq!(std::mem::size_of::<NeighborsView>(), 16);
         assert!(std::mem::size_of::<(NodeId, PeerState)>() <= 32);
         assert!(std::mem::size_of::<NodeTable>() <= 88);
-        assert!(std::mem::size_of::<NodeCache>() <= 64);
     }
 
     #[test]
@@ -839,11 +696,13 @@ mod tests {
         let mut t = NeighborTables::new(4, 100.0);
         let now = SimTime::from_secs(5.0);
         t.record_beacon(NodeId(0), entry(2, 4.0), &snap(&[]), now);
-        let s = t.beacon_snapshot(NodeId(0), now);
-        // The same snapshot recorded at three receivers must be counted
-        // once, not three times.
+        let s = t.fresh_one_hop(NodeId(0), now);
+        // Nothing else keeps a view alive, so the baseline already holds
+        // the snapshot at one receiver; recording the same snapshot at
+        // two more must not count it again.
+        t.record_beacon(NodeId(1), entry(0, 5.0), &s, now);
         let before = t.footprint().snapshot_bytes;
-        for v in [1u32, 2, 3] {
+        for v in [2u32, 3] {
             t.record_beacon(NodeId(v), entry(0, 5.0), &s, now);
         }
         let after = t.footprint().snapshot_bytes;
@@ -916,42 +775,59 @@ mod tests {
     }
 
     #[test]
-    fn beacon_snapshot_is_shared_not_copied() {
+    fn beacon_view_is_shared_not_copied() {
         let mut t = NeighborTables::new(4, 100.0);
         let now = SimTime::from_secs(5.0);
         t.record_beacon(NodeId(0), entry(2, 4.0), &snap(&[]), now);
-        let s = t.beacon_snapshot(NodeId(0), now);
-        // Cached: a second ask at the same time is the same allocation.
-        let s2 = t.beacon_snapshot(NodeId(0), now);
-        assert!(Rc::ptr_eq(&s.entries, &s2.entries));
-        // Receivers of the beacon share it too: record it at two nodes
-        // and confirm both 2-hop views see the carried entry.
+        let s = t.fresh_one_hop(NodeId(0), now);
+        // Every receiver of the beacon keeps the sender's allocation.
         t.record_beacon(NodeId(1), entry(0, 5.0), &s, now);
         t.record_beacon(NodeId(3), entry(0, 5.0), &s, now);
-        for v in [NodeId(1), NodeId(3)] {
-            assert!(t.fresh_view(v, now).iter().any(|e| e.id == NodeId(2)));
+        let Backend::Shared(shared) = &t.backend else {
+            unreachable!("NeighborTables::new builds the shared tables")
+        };
+        for v in [1, 3] {
+            let held = shared.nodes[v].peers[&NodeId(0)].snap.as_ref().unwrap();
+            assert!(Rc::ptr_eq(&s.entries, &held.entries), "receiver {v}");
         }
     }
 
+    /// With no view cache, a view asked for after a mutation at the same
+    /// timestamp must reflect that mutation.
     #[test]
-    fn views_are_cached_per_time_and_invalidated_on_mutation() {
-        let mut t = NeighborTables::new(3, 100.0);
-        let now = SimTime::from_secs(1.0);
-        t.record_beacon(NodeId(1), entry(0, 1.0), &snap(&[entry(2, 0.5)]), now);
-        let a = t.fresh_view(NodeId(1), now);
-        let b = t.fresh_view(NodeId(1), now);
-        assert!(
-            Rc::ptr_eq(&a.entries, &b.entries),
-            "same (time, gen) must hit the cache"
-        );
-        // A mutation invalidates.
-        t.record_beacon(NodeId(1), entry(2, 1.5), &snap(&[]), now);
-        let c = t.fresh_view(NodeId(1), now);
-        assert!(!Rc::ptr_eq(&a.entries, &c.entries));
-        assert_eq!(
-            c.iter().find(|e| e.id == NodeId(2)).unwrap().heard_at,
-            SimTime::from_secs(1.5)
-        );
+    fn views_see_mutations_at_the_same_time() {
+        for (backend, new) in BACKENDS {
+            let mut t = new(3, 100.0);
+            let now = SimTime::from_secs(1.0);
+            t.record_beacon(NodeId(1), entry(0, 1.0), &snap(&[entry(2, 0.5)]), now);
+            let before = t.fresh_view(NodeId(1), now);
+            assert_eq!(
+                before.iter().find(|e| e.id == NodeId(2)).unwrap().heard_at,
+                SimTime::from_secs(0.5),
+                "{backend}"
+            );
+            t.record_beacon(NodeId(1), entry(2, 1.0), &snap(&[]), now);
+            let after = t.fresh_view(NodeId(1), now);
+            assert_eq!(
+                after.iter().find(|e| e.id == NodeId(2)).unwrap().heard_at,
+                SimTime::from_secs(1.0),
+                "{backend}: fresh_view after record_beacon"
+            );
+
+            let one_hop = t.fresh_one_hop(NodeId(0), now);
+            assert!(one_hop.is_empty(), "{backend}");
+            t.heard_frame(NodeId(0), entry(1, 1.0));
+            let ids: Vec<NodeId> = t
+                .fresh_one_hop(NodeId(0), now)
+                .iter()
+                .map(|e| e.id)
+                .collect();
+            assert_eq!(
+                ids,
+                vec![NodeId(1)],
+                "{backend}: fresh_one_hop after heard_frame"
+            );
+        }
     }
 
     /// The lazy sweep must reproduce the reference's *placement* of
@@ -1044,13 +920,9 @@ mod tests {
                 continue;
             }
             // Snapshot comes from the sender's own table, like the engine.
-            let ss = shared.beacon_snapshot(NodeId(sender), now);
-            let rs = reference.beacon_snapshot(NodeId(sender), now);
-            assert_eq!(
-                ss.entries(),
-                rs.entries(),
-                "snapshots diverged at step {step}"
-            );
+            let ss = shared.fresh_one_hop(NodeId(sender), now);
+            let rs = reference.fresh_one_hop(NodeId(sender), now);
+            assert_eq!(&*ss, &*rs, "snapshots diverged at step {step}");
             let e = entry(sender, t);
             let a = shared.record_beacon(NodeId(receiver), e, &ss, now);
             let b = reference.record_beacon(NodeId(receiver), e, &rs, now);

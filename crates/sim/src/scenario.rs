@@ -165,7 +165,7 @@ impl Scenario {
 
     /// Runs the scenario once with its configured seed.
     pub fn run<P: Protocol>(&self, factory: impl FnMut(NodeId, &SimConfig) -> P) -> RunStats {
-        self.run_seeded(self.config.seed, factory)
+        self.run_nth(0, factory)
     }
 
     /// Runs the `run`-th seeded repetition of the scenario: seed
@@ -178,16 +178,7 @@ impl Scenario {
         run: usize,
         factory: impl FnMut(NodeId, &SimConfig) -> P,
     ) -> RunStats {
-        self.run_seeded(self.config.seed + run as u64, factory)
-    }
-
-    /// Runs the scenario once under an explicit seed.
-    pub fn run_seeded<P: Protocol>(
-        &self,
-        seed: u64,
-        factory: impl FnMut(NodeId, &SimConfig) -> P,
-    ) -> RunStats {
-        let config = self.config.clone().with_seed(seed);
+        let config = self.config.clone().with_seed(self.config.seed + run as u64);
         let workload = self.build_workload();
         let medium = self.medium.build(config.n_nodes);
         Simulation::with_boxed_medium(config, workload, factory, medium).run()
@@ -231,17 +222,15 @@ mod tests {
     }
 
     #[test]
-    fn run_seeded_overrides_seed() {
-        let sc = Scenario::new("seeded", base()).with_messages(30);
-        let a = sc.run_seeded(100, |_, _| Direct);
-        let b = sc.run_seeded(101, |_, _| Direct);
-        let a2 = sc.run_seeded(100, |_, _| Direct);
-        assert_eq!(a, a2);
-        let base = sc.config.seed;
-        assert_eq!(
-            sc.run_nth(3, |_, _| Direct),
-            sc.run_seeded(base + 3, |_, _| Direct)
-        );
+    fn run_nth_offsets_seed() {
+        let sc = Scenario::new("seeded", base().with_seed(100)).with_messages(30);
+        let a = sc.run_nth(0, |_, _| Direct);
+        let b = sc.run_nth(1, |_, _| Direct);
+        let a2 = sc.run(|_, _| Direct);
+        assert_eq!(a, a2, "run is run_nth(0)");
+        // Run `n` is the scenario under seed `config.seed + n`.
+        let shifted = Scenario::new("seeded", base().with_seed(103)).with_messages(30);
+        assert_eq!(sc.run_nth(3, |_, _| Direct), shifted.run(|_, _| Direct));
         assert_ne!(
             (a.data_tx, a.messages_delivered()),
             (b.data_tx, b.messages_delivered())

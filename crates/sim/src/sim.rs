@@ -151,10 +151,10 @@ impl<'a, Pk: Clone + std::fmt::Debug> Ctx<'a, Pk> {
     /// Fresh one-hop neighbour entries (positions are as of each
     /// neighbour's last beacon, so up to `beacon_interval` stale).
     ///
-    /// The returned [`NeighborsView`] derefs to `[NeighborEntry]` and
-    /// iterates by value like the `Vec` it replaced; repeated calls
-    /// within one event are `Rc` clones of a cached snapshot, not fresh
-    /// allocations.
+    /// The returned [`NeighborsView`] derefs to `[NeighborEntry]`. Views
+    /// are not cached: each call scans the table and allocates a new
+    /// view, so a hook that needs the neighbours asks once and reuses
+    /// the view.
     pub fn neighbors(&mut self) -> NeighborsView {
         self.core.tables.fresh_one_hop(self.me, self.core.world.now)
     }
@@ -443,9 +443,9 @@ impl<P: Protocol> Simulation<P> {
         let now = self.core.world.now;
         let pos_u = self.core.world.pos(u);
         let range = self.core.world.config.radio_range;
-        // Snapshot of u's one-hop table rides along in the beacon (2-hop
-        // info) — materialised once and shared by every receiver.
-        let snapshot = self.core.tables.beacon_snapshot(u, now);
+        // u's fresh one-hop table rides along in the beacon (2-hop info)
+        // — materialised once and shared by every receiver.
+        let snapshot = self.core.tables.fresh_one_hop(u, now);
         self.core.world.stats.control_tx += 1;
 
         let sender = NeighborEntry {

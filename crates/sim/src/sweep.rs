@@ -128,7 +128,7 @@ impl Sweep {
     /// returns what the caller keeps of that run (its
     /// [`crate::RunStats`], or a [`crate::RunMetrics`] row distilled on
     /// the worker); it is the caller's job to derive the seed from the
-    /// two (e.g. [`crate::Scenario::run_seeded`] with
+    /// two (e.g. [`crate::Scenario::run_nth`], which runs under
     /// `cell.config.seed + run`). `run_fn` must be a pure function of its
     /// arguments for the determinism guarantee to hold.
     ///

@@ -27,7 +27,7 @@ impl Protocol for Flood {
             ttl: 4,
             hops: 1,
         };
-        for nbr in ctx.neighbors() {
+        for nbr in ctx.neighbors().iter() {
             let _ = ctx.send(nbr.id, pkt.clone(), pkt.info.size, PacketKind::Data);
         }
     }
@@ -45,7 +45,7 @@ impl Protocol for Flood {
             ttl: pkt.ttl - 1,
             hops: pkt.hops + 1,
         };
-        for nbr in ctx.neighbors() {
+        for nbr in ctx.neighbors().iter() {
             if nbr.id != from {
                 let _ = ctx.send(nbr.id, fwd.clone(), fwd.info.size, PacketKind::Data);
             }
